@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ss_array::{NdArray, Shape};
 use ss_core::tiling::StandardTiling;
-use ss_storage::{wstore::mem_store, IoStats, MemBlockStore};
+use ss_storage::{mem_shared_store, IoStats, MemBlockStore};
 use ss_transform::{update_box_standard, Appender};
 
 fn bench_updates(c: &mut Criterion) {
@@ -18,11 +18,11 @@ fn bench_updates(c: &mut Criterion) {
     let delta = NdArray::from_fn(Shape::new(&[30, 50]), |idx| (idx[0] * idx[1]) as f64 * 0.01);
     group.throughput(Throughput::Elements(delta.len() as u64));
     group.bench_function("update_box_30x50_in_256x256", |b| {
-        let mut cs = mem_store(StandardTiling::new(&n, &[2; 2]), 1 << 12, IoStats::new());
+        let cs = mem_shared_store(StandardTiling::new(&n, &[2; 2]), 1 << 12, 1, IoStats::new());
         for idx in ss_array::MultiIndexIter::new(&[side, side]) {
             cs.write(&idx, t.get(&idx));
         }
-        b.iter(|| update_box_standard(&mut cs, &n, &[13, 77], &delta))
+        b.iter(|| update_box_standard(&cs, &n, &[13, 77], &delta))
     });
 
     group.bench_function("append_month_8x8x32", |b| {

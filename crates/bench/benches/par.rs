@@ -7,10 +7,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ss_array::{NdArray, Shape};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
-use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
+use ss_storage::{mem_shared_store, IoStats};
 use ss_transform::{
-    transform_nonstandard_parallel, transform_nonstandard_zorder, transform_standard,
-    transform_standard_parallel, ArraySource,
+    transform_nonstandard_parallel, transform_standard, transform_standard_parallel, ArraySource,
 };
 
 const N: u32 = 7; // 128 x 128
@@ -29,8 +28,13 @@ fn bench_parallel(c: &mut Criterion) {
     group.bench_function("standard_serial", |b| {
         b.iter(|| {
             let src = ArraySource::new(&data, &[M; 2]);
-            let mut cs = mem_store(StandardTiling::new(&[N; 2], &[B; 2]), POOL, IoStats::new());
-            transform_standard(&src, &mut cs, false)
+            let cs = mem_shared_store(
+                StandardTiling::new(&[N; 2], &[B; 2]),
+                POOL,
+                1,
+                IoStats::new(),
+            );
+            transform_standard(&src, &cs, false)
         })
     });
     for workers in [1usize, 2, 4] {
@@ -54,8 +58,8 @@ fn bench_parallel(c: &mut Criterion) {
     group.bench_function("nonstandard_zorder_serial", |b| {
         b.iter(|| {
             let src = ArraySource::new(&data, &[M; 2]);
-            let mut cs = mem_store(NonStandardTiling::new(2, N, B), POOL, IoStats::new());
-            transform_nonstandard_zorder(&src, &mut cs)
+            let cs = mem_shared_store(NonStandardTiling::new(2, N, B), POOL, 1, IoStats::new());
+            transform_nonstandard_parallel(&src, &cs, 1)
         })
     });
     for workers in [1usize, 2, 4] {

@@ -3,25 +3,26 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ss_array::{MultiIndexIter, NdArray, Shape};
 use ss_core::tiling::StandardTiling;
-use ss_storage::{wstore::mem_store, CoeffStore, IoStats, MemBlockStore};
+use ss_storage::{mem_shared_store, IoStats, MemBlockStore, SharedCoeffStore};
 
 const N: u32 = 8; // 256 x 256
 
-fn build() -> CoeffStore<StandardTiling, MemBlockStore> {
+fn build() -> SharedCoeffStore<StandardTiling, MemBlockStore> {
     let side = 1usize << N;
     let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
         ((idx[0] * 13 + idx[1] * 7) % 29) as f64
     });
     let t = ss_core::standard::forward_to(&data);
-    let mut cs = mem_store(
+    let cs = mem_shared_store(
         StandardTiling::new(&[N; 2], &[2; 2]),
         1 << 14,
+        1,
         IoStats::new(),
     );
     for idx in MultiIndexIter::new(&[side, side]) {
         cs.write(&idx, t.get(&idx));
     }
-    ss_query::materialize_standard_scalings(&mut cs, &[N; 2]);
+    ss_query::materialize_standard_scalings(&cs, &[N; 2]);
     cs
 }
 

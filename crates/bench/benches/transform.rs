@@ -3,9 +3,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ss_array::{NdArray, Shape};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
-use ss_storage::{wstore::mem_store, IoStats};
+use ss_storage::{mem_shared_store, IoStats};
 use ss_transform::{
-    transform_nonstandard_zorder, transform_standard, vitter_transform_standard, ArraySource,
+    transform_nonstandard_parallel, transform_standard, vitter_transform_standard, ArraySource,
 };
 
 const N: u32 = 7; // 128 x 128
@@ -23,15 +23,15 @@ fn bench_transforms(c: &mut Criterion) {
     group.bench_function("shift_split_standard", |b| {
         b.iter(|| {
             let src = ArraySource::new(&data, &[M; 2]);
-            let mut cs = mem_store(StandardTiling::new(&[N; 2], &[B; 2]), 64, IoStats::new());
-            transform_standard(&src, &mut cs, false)
+            let cs = mem_shared_store(StandardTiling::new(&[N; 2], &[B; 2]), 64, 1, IoStats::new());
+            transform_standard(&src, &cs, false)
         })
     });
     group.bench_function("shift_split_nonstandard_zorder", |b| {
         b.iter(|| {
             let src = ArraySource::new(&data, &[M; 2]);
-            let mut cs = mem_store(NonStandardTiling::new(2, N, B), 64, IoStats::new());
-            transform_nonstandard_zorder(&src, &mut cs)
+            let cs = mem_shared_store(NonStandardTiling::new(2, N, B), 64, 1, IoStats::new());
+            transform_nonstandard_parallel(&src, &cs, 1)
         })
     });
     group.bench_function("vitter_baseline", |b| {

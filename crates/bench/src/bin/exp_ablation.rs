@@ -11,9 +11,9 @@ use ss_array::{NdArray, Shape};
 use ss_bench::{fmt_count, Table};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_datagen::sparse_cube;
-use ss_storage::{wstore::mem_store, IoStats};
+use ss_storage::{mem_shared_store, IoStats};
 use ss_transform::{
-    transform_nonstandard, transform_nonstandard_zorder, transform_standard,
+    transform_nonstandard, transform_nonstandard_parallel, transform_standard,
     transform_standard_sparse, ArraySource,
 };
 
@@ -40,11 +40,11 @@ fn zorder_vs_rowmajor() {
         });
         let src = ArraySource::new(&data, &[2, 2]);
         let stats_r = IoStats::new();
-        let mut cr = mem_store(NonStandardTiling::new(2, n, 2), 4, stats_r.clone());
-        transform_nonstandard(&src, &mut cr, false);
+        let cr = mem_shared_store(NonStandardTiling::new(2, n, 2), 4, 1, stats_r.clone());
+        transform_nonstandard(&src, &cr, false);
         let stats_z = IoStats::new();
-        let mut cz = mem_store(NonStandardTiling::new(2, n, 2), 4, stats_z.clone());
-        let report = transform_nonstandard_zorder(&src, &mut cz);
+        let cz = mem_shared_store(NonStandardTiling::new(2, n, 2), 4, 1, stats_z.clone());
+        let report = transform_nonstandard_parallel(&src, &cz, 1);
         let r = stats_r.snapshot().blocks();
         let z = stats_z.snapshot().blocks();
         table.row(&[
@@ -69,12 +69,13 @@ fn warm_vs_cold() {
             ((idx[0] * 13 + idx[1] * 3) % 23) as f64
         });
         let src = ArraySource::new(&data, &[3, 3]);
+        let map = StandardTiling::new(&[n; 2], &[2; 2]);
         let stats_c = IoStats::new();
-        let mut cc = mem_store(StandardTiling::new(&[n; 2], &[2; 2]), 32, stats_c.clone());
-        transform_standard(&src, &mut cc, true);
+        let cc = mem_shared_store(map.clone(), 32, 1, stats_c.clone());
+        transform_standard(&src, &cc, true);
         let stats_w = IoStats::new();
-        let mut cw = mem_store(StandardTiling::new(&[n; 2], &[2; 2]), 32, stats_w.clone());
-        transform_standard(&src, &mut cw, false);
+        let cw = mem_shared_store(map, 32, 1, stats_w.clone());
+        transform_standard(&src, &cw, false);
         let c = stats_c.snapshot().blocks();
         let w = stats_w.snapshot().blocks();
         table.row(&[
@@ -101,12 +102,13 @@ fn sparse_vs_dense() {
     for z in [64usize, 512, 4096] {
         let data = sparse_cube(&[side, side], z, 11);
         let src = ArraySource::new(&data, &[3, 3]);
+        let map = StandardTiling::new(&[8; 2], &[2; 2]);
         let stats_d = IoStats::new();
-        let mut cd = mem_store(StandardTiling::new(&[8; 2], &[2; 2]), 64, stats_d.clone());
-        transform_standard(&src, &mut cd, false);
+        let cd = mem_shared_store(map.clone(), 64, 1, stats_d.clone());
+        transform_standard(&src, &cd, false);
         let stats_s = IoStats::new();
-        let mut cs = mem_store(StandardTiling::new(&[8; 2], &[2; 2]), 64, stats_s.clone());
-        let report = transform_standard_sparse(&src, &mut cs);
+        let cs = mem_shared_store(map, 64, 1, stats_s.clone());
+        let report = transform_standard_sparse(&src, &cs);
         table.row(&[
             &z,
             &fmt_count(stats_d.snapshot().blocks()),

@@ -13,7 +13,7 @@ use ss_bench::{fmt_f, Table};
 use ss_core::tiling::StandardTiling;
 use ss_datagen::SplitMix64;
 use ss_query::{progressive_range_sum, StoredSynopsis};
-use ss_storage::{wstore::mem_store, IoStats};
+use ss_storage::{mem_shared_store, IoStats};
 
 const N: u32 = 8; // 256 x 256
 const QUERIES: usize = 200;
@@ -29,9 +29,10 @@ fn main() {
             - 8.0 * (-((x - 0.8).powi(2) + (y - 0.2).powi(2)) * 30.0).exp()
     });
     let t = ss_core::standard::forward_to(&data);
-    let mut cs = mem_store(
+    let mut cs = mem_shared_store(
         StandardTiling::new(&[N; 2], &[2; 2]),
         1 << 14,
+        1,
         IoStats::new(),
     );
     for idx in MultiIndexIter::new(&[side, side]) {

@@ -5,7 +5,7 @@
 //! injection + retries) costs and tolerates. For every combination of
 //! injected read-fault rate and retry budget it ingests a 256×256 array
 //! through the full wrapped stack
-//! (`BufferPool → RetryingBlockStore → FaultInjectingBlockStore → MemBlockStore`),
+//! (`SharedCoeffStore → RetryingBlockStore → FaultInjectingBlockStore → MemBlockStore`),
 //! then scans every block, reporting:
 //!
 //! * ingest throughput (Mcoeff/s) and whether the run survived,
@@ -29,10 +29,10 @@ use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
 use ss_obs::json::Value;
 use ss_storage::{
-    BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, IoStats, MemBlockStore,
-    RetryPolicy, RetryingBlockStore,
+    BlockStore, FaultConfig, FaultInjectingBlockStore, IoStats, MemBlockStore, RetryPolicy,
+    RetryingBlockStore, SharedCoeffStore,
 };
-use ss_transform::{try_transform_standard, ArraySource};
+use ss_transform::{try_transform_standard_parallel, ArraySource};
 use std::time::Duration;
 
 const N: u32 = 8; // 256 x 256
@@ -102,8 +102,8 @@ fn main() {
                     max_backoff: Duration::from_micros(500),
                 },
             );
-            let mut cs = CoeffStore::new(map, wrapped, POOL, stats);
-            let (result, wall_ms) = timed_ms(|| try_transform_standard(&src, &mut cs, false));
+            let cs = SharedCoeffStore::new(map, wrapped, POOL, 1, stats);
+            let (result, wall_ms) = timed_ms(|| try_transform_standard_parallel(&src, &cs, 1));
             let survived = result.is_ok();
             let coeffs = (side * side) as f64;
             let throughput = if survived {

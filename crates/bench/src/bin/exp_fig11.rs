@@ -17,9 +17,9 @@
 use ss_bench::{fmt_count, Table};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_datagen::temperature_cube;
-use ss_storage::{wstore::mem_store, IoStats};
+use ss_storage::{mem_shared_store, IoStats};
 use ss_transform::{
-    transform_nonstandard_zorder, transform_standard, vitter_transform_standard, ArraySource,
+    transform_nonstandard_parallel, transform_standard, vitter_transform_standard, ArraySource,
 };
 
 const D: usize = 4;
@@ -53,20 +53,22 @@ fn main() {
         let _ = vitter_transform_standard(&src, mem_coeffs, block_cap, stats_v.clone());
 
         let stats_s = IoStats::new();
-        let mut cs = mem_store(
+        let cs = mem_shared_store(
             StandardTiling::new(&[N_LEVELS; 4], &[B_LEVELS; 4]),
             (mem_coeffs / block_cap).max(1),
+            1,
             stats_s.clone(),
         );
-        transform_standard(&src, &mut cs, false);
+        transform_standard(&src, &cs, false);
 
         let stats_z = IoStats::new();
-        let mut cz = mem_store(
+        let cz = mem_shared_store(
             NonStandardTiling::new(D, N_LEVELS, B_LEVELS),
             (mem_coeffs / block_cap).max(1),
+            1,
             stats_z.clone(),
         );
-        transform_nonstandard_zorder(&src, &mut cz);
+        transform_nonstandard_parallel(&src, &cz, 1);
 
         table.row(&[
             &fmt_count(mem_coeffs as u64),

@@ -12,8 +12,8 @@
 use ss_array::{NdArray, Shape};
 use ss_bench::{fmt_count, Table};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
-use ss_storage::{wstore::mem_store, IoStats};
-use ss_transform::{transform_nonstandard_zorder, transform_standard, ArraySource};
+use ss_storage::{mem_shared_store, IoStats};
+use ss_transform::{transform_nonstandard_parallel, transform_standard, ArraySource};
 
 const M_LEVELS: u32 = 3; // 8x8 = 64-coefficient memory, as in the paper
 
@@ -42,13 +42,18 @@ fn main() {
             let pool = (64usize / block_cap).max(1);
 
             let stats_s = IoStats::new();
-            let mut cs = mem_store(StandardTiling::new(&[n; 2], &[b; 2]), pool, stats_s.clone());
-            transform_standard(&src, &mut cs, false);
+            let cs = mem_shared_store(
+                StandardTiling::new(&[n; 2], &[b; 2]),
+                pool,
+                1,
+                stats_s.clone(),
+            );
+            transform_standard(&src, &cs, false);
             std_cols.push(fmt_count(stats_s.snapshot().blocks()));
 
             let stats_z = IoStats::new();
-            let mut cz = mem_store(NonStandardTiling::new(2, n, b), pool, stats_z.clone());
-            transform_nonstandard_zorder(&src, &mut cz);
+            let cz = mem_shared_store(NonStandardTiling::new(2, n, b), pool, 1, stats_z.clone());
+            transform_nonstandard_parallel(&src, &cz, 1);
             ns_cols.push(fmt_count(stats_z.snapshot().blocks()));
         }
         cells.extend(std_cols);

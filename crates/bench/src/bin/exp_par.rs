@@ -5,7 +5,9 @@
 //! reports, per run, the wall time, the speedup against the serial
 //! driver, the exact store divergence (must be ≤ 1e-9), and the full
 //! [`IoSnapshot`](ss_storage::IoSnapshot) — including the sharded buffer pool's
-//! hit/miss/eviction/write-back counters.
+//! hit/miss/eviction/write-back counters. `pool_hits` counts tile
+//! accesses, so the `serial` rows (one worker, one shard) count one hit
+//! per cached tile batch, not one per coefficient it updates.
 //!
 //! Wall-clock speedup needs real cores: on a single-CPU host every
 //! worker count times roughly the same (plus locking overhead) and the
@@ -15,10 +17,9 @@ use ss_array::{MultiIndexIter, NdArray, Shape};
 use ss_bench::{emit_json_row, timed_ms, Table};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_obs::json::Value;
-use ss_storage::{mem_shared_store, wstore::mem_store, IoStats, SharedCoeffStore};
+use ss_storage::{mem_shared_store, IoStats, SharedCoeffStore};
 use ss_transform::{
-    transform_nonstandard_parallel, transform_nonstandard_zorder, transform_standard,
-    transform_standard_parallel, ArraySource,
+    transform_nonstandard_parallel, transform_standard, transform_standard_parallel, ArraySource,
 };
 
 const N: u32 = 10; // 1024 x 1024
@@ -116,8 +117,13 @@ fn standard(data: &NdArray<f64>) {
     let src = ArraySource::new(data, &[M; 2]);
 
     let stats = IoStats::new();
-    let mut serial = mem_store(StandardTiling::new(&[N; 2], &[B; 2]), POOL, stats.clone());
-    let (_, serial_ms) = timed_ms(|| transform_standard(&src, &mut serial, false));
+    let serial = mem_shared_store(
+        StandardTiling::new(&[N; 2], &[B; 2]),
+        POOL,
+        1,
+        stats.clone(),
+    );
+    let (_, serial_ms) = timed_ms(|| transform_standard(&src, &serial, false));
     let want = NdArray::from_fn(Shape::cube(2, side), |idx| serial.read(idx));
     row(
         &mut table,
@@ -169,8 +175,8 @@ fn nonstandard(data: &NdArray<f64>) {
     let src = ArraySource::new(data, &[M; 2]);
 
     let stats = IoStats::new();
-    let mut serial = mem_store(NonStandardTiling::new(2, N, B), POOL, stats.clone());
-    let (_, serial_ms) = timed_ms(|| transform_nonstandard_zorder(&src, &mut serial));
+    let serial = mem_shared_store(NonStandardTiling::new(2, N, B), POOL, 1, stats.clone());
+    let (_, serial_ms) = timed_ms(|| transform_nonstandard_parallel(&src, &serial, 1));
     let want = NdArray::from_fn(Shape::cube(2, side), |idx| serial.read(idx));
     row(
         &mut table,

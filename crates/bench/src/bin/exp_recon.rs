@@ -12,7 +12,7 @@ use ss_array::{DyadicRange, MultiIndexIter, NdArray, Shape};
 use ss_bench::{fmt_count, Table};
 use ss_core::tiling::StandardTiling;
 use ss_query::recon;
-use ss_storage::{wstore::mem_store, IoStats};
+use ss_storage::{mem_shared_store, IoStats};
 
 const N_LEVELS: u32 = 9; // 512 x 512
 const B_LEVELS: u32 = 3;
@@ -25,9 +25,10 @@ fn main() {
     });
     let t = ss_core::standard::forward_to(&data);
     let stats = IoStats::new();
-    let mut cs = mem_store(
+    let mut cs = mem_shared_store(
         StandardTiling::new(&[N_LEVELS; 2], &[B_LEVELS; 2]),
         1 << 14,
+        1,
         stats.clone(),
     );
     for idx in MultiIndexIter::new(&[side, side]) {
@@ -104,7 +105,7 @@ fn nonstandard() {
         ss_core::nonstandard::forward(&mut a);
         a
     };
-    let mut cs = mem_store(NonStandardTiling::new(2, n, 2), 1 << 14, IoStats::new());
+    let mut cs = mem_shared_store(NonStandardTiling::new(2, n, 2), 1 << 14, 1, IoStats::new());
     for idx in MultiIndexIter::new(&[side, side]) {
         cs.write(&idx, tns.get(&idx));
     }

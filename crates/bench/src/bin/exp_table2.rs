@@ -18,9 +18,9 @@
 use ss_array::{NdArray, Shape};
 use ss_bench::{fmt_count, Table};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
-use ss_storage::{wstore::mem_store, IoStats};
+use ss_storage::{mem_shared_store, IoStats};
 use ss_transform::{
-    transform_nonstandard_zorder, transform_standard, vitter_transform_standard, ArraySource,
+    transform_nonstandard_parallel, transform_standard, vitter_transform_standard, ArraySource,
 };
 
 fn main() {
@@ -54,22 +54,24 @@ fn main() {
 
         // SHIFT-SPLIT standard.
         let stats_s = IoStats::new();
-        let mut cs = mem_store(
+        let cs = mem_shared_store(
             StandardTiling::new(&vec![n; d], &vec![b; d]),
             (mem_coeffs / block_cap).max(1),
+            1,
             stats_s.clone(),
         );
-        transform_standard(&src, &mut cs, false);
+        transform_standard(&src, &cs, false);
         let s = stats_s.snapshot();
 
         // SHIFT-SPLIT non-standard, z-order.
         let stats_z = IoStats::new();
-        let mut cz = mem_store(
+        let cz = mem_shared_store(
             NonStandardTiling::new(d, n, b),
             (mem_coeffs / block_cap).max(1),
+            1,
             stats_z.clone(),
         );
-        transform_nonstandard_zorder(&src, &mut cz);
+        transform_nonstandard_parallel(&src, &cz, 1);
         let z = stats_z.snapshot();
 
         let ns_formula = 2 * (1usize << ((n - b) as usize * d));

@@ -18,14 +18,18 @@ use ss_core::tiling::{NaiveMap, StandardTiling};
 use ss_core::TilingMap;
 use ss_datagen::SplitMix64;
 use ss_query::{point_standard, point_standard_fast, range_sum_standard};
-use ss_storage::{wstore::mem_store, CoeffStore, IoStats, MemBlockStore};
+use ss_storage::{mem_shared_store, IoStats, MemBlockStore, SharedCoeffStore};
 
 const N_LEVELS: u32 = 8; // 256 x 256
 const B_LEVELS: u32 = 2; // 16-coefficient tiles (4x4)
 const QUERIES: usize = 500;
 
-fn fill<M: TilingMap>(map: M, t: &NdArray<f64>, stats: IoStats) -> CoeffStore<M, MemBlockStore> {
-    let mut cs = mem_store(map, 1 << 14, stats);
+fn fill<M: TilingMap>(
+    map: M,
+    t: &NdArray<f64>,
+    stats: IoStats,
+) -> SharedCoeffStore<M, MemBlockStore> {
+    let cs = mem_shared_store(map, 1 << 14, 1, stats);
     for idx in MultiIndexIter::new(t.shape().dims()) {
         cs.write(&idx, t.get(&idx));
     }
@@ -54,7 +58,7 @@ fn main() {
         &t,
         stats_t.clone(),
     );
-    ss_query::materialize_standard_scalings(&mut tiled, &[N_LEVELS; 2]);
+    ss_query::materialize_standard_scalings(&tiled, &[N_LEVELS; 2]);
 
     let mut rng = SplitMix64::new(99);
     let points: Vec<[usize; 2]> = (0..QUERIES)

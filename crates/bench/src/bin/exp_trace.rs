@@ -24,7 +24,7 @@ use ss_core::TilingMap;
 use ss_datagen::SplitMix64;
 use ss_obs::json::Value;
 use ss_serve::{Client, QueryServer, ServeConfig};
-use ss_storage::{CoeffStore, IoStats, MemBlockStore, SharedCoeffStore};
+use ss_storage::{IoStats, MemBlockStore, SharedCoeffStore};
 
 const N: u32 = 5; // 32 x 32 domain
 const B: u32 = 2; // 8x8 tiles of 4x4 coefficients
@@ -43,7 +43,7 @@ fn build_store(stats: IoStats) -> ServedStore {
     let t = ss_core::standard::forward_to(&data);
     let map = StandardTiling::new(&[N; 2], &[B; 2]);
     let mem = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
-    let mut cs = CoeffStore::new(map, mem, 1 << 10, stats.clone());
+    let cs = SharedCoeffStore::new(map, mem, 1 << 10, 1, stats.clone());
     for idx in MultiIndexIter::new(&[side, side]) {
         cs.write(&idx, t.get(&idx));
     }

@@ -32,7 +32,7 @@ use ss_core::TilingMap;
 use ss_datagen::SplitMix64;
 use ss_maintain::FlushMode;
 use ss_obs::json::Value;
-use ss_storage::{CoeffStore, IoStats, MemBlockStore, SharedCoeffStore, ThrottledBlockStore};
+use ss_storage::{IoStats, MemBlockStore, SharedCoeffStore, ThrottledBlockStore};
 use std::time::Duration;
 
 const N: u32 = 6; // 64 x 64 domain
@@ -85,13 +85,13 @@ fn run_serial<M: TilingMap>(
 ) -> PathResult {
     let stats = IoStats::new();
     let store = throttled(&map, stats.clone());
-    let mut cs = CoeffStore::new(map, store, POOL, stats.clone());
+    let cs = SharedCoeffStore::new(map, store, POOL, 1, stats.clone());
     let (_, wall_ms) = timed_ms(|| {
         for (origin, delta) in boxes {
             if form == "standard" {
-                ss_transform::update_box_standard(&mut cs, &[N; 2], origin, delta);
+                ss_transform::update_box_standard(&cs, &[N; 2], origin, delta);
             } else {
-                ss_transform::update_box_nonstandard(&mut cs, N, origin, delta);
+                ss_transform::update_box_nonstandard(&cs, N, origin, delta);
             }
         }
     });
@@ -106,12 +106,12 @@ fn run_serial<M: TilingMap>(
 fn run_group<M: TilingMap>(map: M, form: &str, boxes: &[(Vec<usize>, NdArray<f64>)]) -> PathResult {
     let stats = IoStats::new();
     let store = throttled(&map, stats.clone());
-    let mut cs = CoeffStore::new(map, store, POOL, stats.clone());
+    let cs = SharedCoeffStore::new(map, store, POOL, 1, stats.clone());
     let (report, wall_ms) = timed_ms(|| {
         if form == "standard" {
-            ss_maintain::update_boxes_standard(&mut cs, &[N; 2], boxes, FlushMode::Exact)
+            ss_maintain::update_boxes_standard(&cs, &[N; 2], boxes, FlushMode::Exact, 1)
         } else {
-            ss_maintain::update_boxes_nonstandard(&mut cs, N, boxes, FlushMode::Exact)
+            ss_maintain::update_boxes_nonstandard(&cs, N, boxes, FlushMode::Exact, 1)
         }
     });
     PathResult {
@@ -132,15 +132,9 @@ fn run_parallel<M: TilingMap>(
     let cs = SharedCoeffStore::new(map, store, POOL, SHARDS, stats.clone());
     let (report, wall_ms) = timed_ms(|| {
         if form == "standard" {
-            ss_maintain::update_boxes_standard_parallel(
-                &cs,
-                &[N; 2],
-                boxes,
-                FlushMode::Exact,
-                WORKERS,
-            )
+            ss_maintain::update_boxes_standard(&cs, &[N; 2], boxes, FlushMode::Exact, WORKERS)
         } else {
-            ss_maintain::update_boxes_nonstandard_parallel(&cs, N, boxes, FlushMode::Exact, WORKERS)
+            ss_maintain::update_boxes_nonstandard(&cs, N, boxes, FlushMode::Exact, WORKERS)
         }
     });
     PathResult {

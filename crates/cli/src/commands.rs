@@ -228,13 +228,7 @@ pub fn ingest(args: &Args) -> Result<(), String> {
         None => ws.meta.levels.iter().map(|&n| n.min(3)).collect(),
     };
     let src = ArraySource::new(&data, &chunk_levels);
-    let workers = match args.flag_opt("workers") {
-        Some(w) => Some(ss_transform::resolve_workers(
-            w.parse::<usize>()
-                .map_err(|e| format!("bad --workers: {e}"))?,
-        )),
-        None => None,
-    };
+    let workers = workers_flag(args)?;
     let faults = fault_flags(args)?;
     if let Some(group) = args.flag_opt("coalesce") {
         let group: usize = group.parse().map_err(|e| format!("bad --coalesce: {e}"))?;
@@ -247,7 +241,7 @@ pub fn ingest(args: &Args) -> Result<(), String> {
             }
             None => ss_maintain::FlushMode::Exact,
         };
-        let report = ss_maintain::transform_standard_coalesced(&src, &mut ws.store, group, mode);
+        let report = ss_maintain::transform_standard_coalesced(&src, &ws.store, group, mode);
         ws.meta.filled = dims[ws.meta.axis];
         ws.save_meta()?;
         report_kernel();
@@ -268,68 +262,23 @@ pub fn ingest(args: &Args) -> Result<(), String> {
         }
         return metrics::emit(args, &stats);
     }
-    let (mut ws, report) = match (faults, workers) {
-        (Some((cfg, policy)), workers) => {
-            // Rebuild the stack with the fault/retry wrappers between the
-            // pool and the file: pool → retries → injected faults → file.
-            let store_path = ws.path().to_path_buf();
-            let meta = ws.meta.clone();
-            let stats = ws.stats.clone();
-            let (map, blocks) = ws.store.into_parts();
-            let wrapped =
-                RetryingBlockStore::new(FaultInjectingBlockStore::new(blocks, cfg), policy);
-            match workers {
-                Some(workers) => {
-                    let shared = ss_storage::SharedCoeffStore::new(
-                        map,
-                        wrapped,
-                        1 << 10,
-                        workers,
-                        stats.clone(),
-                    );
-                    let report =
-                        ss_transform::try_transform_standard_parallel(&src, &shared, workers)
-                            .map_err(|e| e.to_string())?;
-                    let (map, wrapped) = shared.into_parts();
-                    let blocks = wrapped.into_inner().into_inner();
-                    (
-                        WsFile::from_parts(meta, map, blocks, stats, &store_path),
-                        report,
-                    )
-                }
-                None => {
-                    let mut store =
-                        ss_storage::CoeffStore::new(map, wrapped, 1 << 10, stats.clone());
-                    let report = ss_transform::try_transform_standard(&src, &mut store, false)
-                        .map_err(|e| e.to_string())?;
-                    let (map, wrapped) = store.into_parts();
-                    let blocks = wrapped.into_inner().into_inner();
-                    (
-                        WsFile::from_parts(meta, map, blocks, stats, &store_path),
-                        report,
-                    )
-                }
-            }
+    // One shard and one worker unless `--workers` asks for more.
+    let shards = workers.unwrap_or(1);
+    let report = match faults {
+        Some((cfg, policy)) => {
+            // Put the fault/retry wrappers between the pool and the file
+            // for the transform: pool → retries → injected faults → file.
+            let wrapped = ws.store.rehouse(shards, |blocks| {
+                RetryingBlockStore::new(FaultInjectingBlockStore::new(blocks, cfg), policy)
+            });
+            let report = ss_transform::try_transform_standard_parallel(&src, &wrapped, shards)
+                .map_err(|e| e.to_string())?;
+            ws.store = wrapped.rehouse(1, |wrapped| wrapped.into_inner().into_inner());
+            report
         }
-        (None, Some(workers)) => {
-            // Re-house the block file in a sharded, thread-safe pool for the
-            // duration of the transform, then hand it back to the serial pool.
-            let store_path = ws.path().to_path_buf();
-            let meta = ws.meta.clone();
-            let stats = ws.stats.clone();
-            let (map, blocks) = ws.store.into_parts();
-            let shared =
-                ss_storage::SharedCoeffStore::new(map, blocks, 1 << 10, workers, stats.clone());
-            let report = ss_transform::transform_standard_parallel(&src, &shared, workers);
-            let (map, blocks) = shared.into_parts();
-            (
-                WsFile::from_parts(meta, map, blocks, stats, &store_path),
-                report,
-            )
-        }
-        (None, None) => {
-            let report = ss_transform::transform_standard(&src, &mut ws.store, false);
-            (ws, report)
+        None => {
+            ws.store = ws.store.rehouse(shards, std::convert::identity);
+            ss_transform::transform_standard_parallel(&src, &ws.store, shards)
         }
     };
     ws.meta.filled = dims[ws.meta.axis];
@@ -344,6 +293,17 @@ pub fn ingest(args: &Args) -> Result<(), String> {
         run_v3_conversion(Path::new(path), policy)?;
     }
     metrics::emit(args, &stats)
+}
+
+/// The `--workers N` flag (`0` = one worker per core), when given.
+fn workers_flag(args: &Args) -> Result<Option<usize>, String> {
+    args.flag_opt("workers")
+        .map(|w| {
+            w.parse::<usize>()
+                .map_err(|e| format!("bad --workers: {e}"))
+        })
+        .transpose()
+        .map(|w| w.map(ss_transform::resolve_workers))
 }
 
 /// `point <store> i,j,…`
@@ -420,8 +380,7 @@ pub fn update(args: &Args) -> Result<(), String> {
         let dims = parse_list(args.flag("dims")?)?;
         let delta = csv::read_array(Path::new(args.flag("data")?), &dims)?;
         check_rank(&ws.meta, origin.len())?;
-        let report =
-            ss_transform::update_box_standard(&mut ws.store, &ws.meta.levels, &origin, &delta);
+        let report = ss_transform::update_box_standard(&ws.store, &ws.meta.levels, &origin, &delta);
         println!(
             "applied {} update cells as {} dyadic pieces ({} coefficients touched)",
             delta.len(),
@@ -431,38 +390,10 @@ pub fn update(args: &Args) -> Result<(), String> {
         return metrics::emit(args, &ws.stats);
     };
     let boxes = read_batch_file(Path::new(batch_file), &ws.meta)?;
-    let workers = match args.flag_opt("workers") {
-        Some(w) => Some(ss_transform::resolve_workers(
-            w.parse::<usize>()
-                .map_err(|e| format!("bad --workers: {e}"))?,
-        )),
-        None => None,
-    };
-    let levels = ws.meta.levels.clone();
-    let (ws, report) = match workers {
-        Some(workers) => {
-            // Re-house the block file in the sharded thread-safe pool for
-            // the flush, then hand it back (the ingest --workers pattern).
-            let store_path = ws.path().to_path_buf();
-            let meta = ws.meta.clone();
-            let stats = ws.stats.clone();
-            let (map, blocks) = ws.store.into_parts();
-            let shared =
-                ss_storage::SharedCoeffStore::new(map, blocks, 1 << 10, workers, stats.clone());
-            let report = ss_maintain::update_boxes_standard_parallel(
-                &shared, &levels, &boxes, mode, workers,
-            );
-            let (map, blocks) = shared.into_parts();
-            (
-                WsFile::from_parts(meta, map, blocks, stats, &store_path),
-                report,
-            )
-        }
-        None => {
-            let report = ss_maintain::update_boxes_standard(&mut ws.store, &levels, &boxes, mode);
-            (ws, report)
-        }
-    };
+    let workers = workers_flag(args)?.unwrap_or(1);
+    ws.store = ws.store.rehouse(workers, std::convert::identity);
+    let report =
+        ss_maintain::update_boxes_standard(&ws.store, &ws.meta.levels, &boxes, mode, workers);
     report_kernel();
     println!(
         "applied {} boxes as {} dyadic pieces ({} coefficients); \
@@ -608,7 +539,7 @@ fn open_with_meta(path: &Path, meta: Meta, stats: ss_storage::IoStats) -> Result
 /// Doubles the append axis of the store at `path`, migrating coefficients
 /// into a rewritten blocks file.
 fn expand_file(path: &Path, meta: &mut Meta, stats: ss_storage::IoStats) -> Result<(), String> {
-    let mut old = open_with_meta(path, meta.clone(), stats.clone())?;
+    let old = open_with_meta(path, meta.clone(), stats.clone())?;
     let mut new_meta = meta.clone();
     new_meta.levels[meta.axis] += 1;
     let tmp = path.with_extension("expand.tmp");
@@ -620,7 +551,13 @@ fn expand_file(path: &Path, meta: &mut Meta, stats: ss_storage::IoStats) -> Resu
         stats.clone(),
     )
     .map_err(|e| e.to_string())?;
-    let mut new_store = ss_storage::CoeffStore::new(new_map, new_blocks, 1 << 10, stats.clone());
+    let new_store = ss_storage::SharedCoeffStore::new(
+        new_map,
+        new_blocks,
+        WsFile::POOL_BLOCKS,
+        1,
+        stats.clone(),
+    );
     // Migrate every coefficient (details keep (level, k); the old average
     // splits into the new average plus the new root detail).
     let n_axis = meta.levels[meta.axis];
@@ -729,7 +666,7 @@ pub fn stats(args: &Args) -> Result<(), String> {
     );
     let disk = std::fs::metadata(ws.path()).map(|m| m.len()).unwrap_or(0);
     println!("on disk : {disk} bytes");
-    if let Some(live) = ws.store.pool().store_mut().sparse_live_bytes() {
+    if let Some(live) = ws.store.store_mut().sparse_live_bytes() {
         let dense = (map.num_tiles() * map.block_capacity() * 8) as u64;
         let overhead = ss_storage::sparse::V3_HEADER_LEN
             + map.num_tiles() as u64 * ss_storage::sparse::V3_DIR_ENTRY_LEN;
@@ -995,8 +932,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let levels = ws.meta.levels.clone();
     let tiling = ws.meta.tiling();
     let stats = ws.stats.clone();
-    let (map, blocks) = ws.store.into_parts();
-    let shared = ss_storage::SharedCoeffStore::new(map, blocks, 1 << 10, workers, stats.clone());
+    let shared = ws.store.rehouse(workers, std::convert::identity);
     let config = ss_serve::ServeConfig {
         workers,
         batch_max,
@@ -1179,7 +1115,7 @@ pub fn shard_split(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("bad --replicas: {e}"))?,
         None => 1,
     };
-    let mut ws = WsFile::open(Path::new(path))?;
+    let ws = WsFile::open(Path::new(path))?;
     let map = ws.meta.tiling();
     let num_tiles = map.num_tiles();
     let slots = map.block_capacity();
@@ -1284,8 +1220,7 @@ pub fn wal_replay(args: &Args) -> Result<(), String> {
     let ws = WsFile::open(Path::new(path))?;
     check_writable(&ws, "wal-replay")?;
     let stats = ws.stats.clone();
-    let (map, blocks) = ws.store.into_parts();
-    let shared = ss_storage::SharedCoeffStore::new(map, blocks, 1 << 10, 4, stats.clone());
+    let shared = ws.store.rehouse(4, std::convert::identity);
     let (shared, mut wal, replayed) = open_wal_and_replay(args, path, shared)?;
     if replayed.commits == 0 {
         println!("wal is empty: nothing to replay");

@@ -37,7 +37,7 @@ COMMANDS:
   ingest  <store> --data FILE [--workers N] [--coalesce N]
           [--format v3 [--threshold E | --topk K]]
           transform a full dataset into the store
-          (--workers 0 = one worker per core; omit for the serial driver;
+          (--workers 0 = one worker per core; omit for one worker;
           --coalesce N group-commits every N chunks through the tile-major
           delta buffer, 0 = one flush for the whole ingest;
           --format v3 rewrites the result into the sparse bucketed layout

@@ -2,7 +2,7 @@
 
 use ss_core::TilingMap;
 use ss_obs::Stopwatch;
-use ss_storage::{BlockStore, CoeffStore, SharedCoeffStore};
+use ss_storage::{BlockStore, SharedCoeffStore};
 use std::collections::HashMap;
 
 /// How buffered deltas are reduced at flush time.
@@ -143,9 +143,8 @@ impl FlushReport {
 ///
 /// Feed it with [`begin_box`](DeltaBuffer::begin_box) +
 /// [`add`](DeltaBuffer::add) (or [`add_at`](DeltaBuffer::add_at) for tuple
-/// indices), then drain with [`flush_into`](DeltaBuffer::flush_into) or
-/// [`flush_into_shared`](DeltaBuffer::flush_into_shared). The buffer is
-/// reusable: a flush resets it to empty.
+/// indices), then drain with [`flush_into`](DeltaBuffer::flush_into). The
+/// buffer is reusable: a flush resets it to empty.
 pub struct DeltaBuffer {
     mode: FlushMode,
     block_capacity: usize,
@@ -298,37 +297,14 @@ impl DeltaBuffer {
         )
     }
 
-    /// Group-commit flush: one read-modify-write per dirty tile, in
-    /// ascending block order, then a single pool flush.
-    pub fn flush_into<M: TilingMap, S: BlockStore>(
-        &mut self,
-        cs: &mut CoeffStore<M, S>,
-    ) -> FlushReport {
-        let mut sw = Stopwatch::start();
-        let (entries, report) = self.drain_sorted();
-        if entries.is_empty() {
-            // Nothing drained: no tile writes, no durability flush, no
-            // flush metrics — a no-op commit must not charge a flush.
-            return report;
-        }
-        let stats = cs.stats().clone();
-        let deltas_per_tile = ss_obs::global().histogram("maintain.deltas_per_tile");
-        for (tile, payload) in &entries {
-            deltas_per_tile.record(payload.ops());
-            stats.add_coeff_writes(payload.ops());
-            cs.pool().with_block(*tile, true, |blk| payload.apply(blk));
-        }
-        cs.flush();
-        record_flush_metrics(&report, sw.lap_ns());
-        report
-    }
-
-    /// Parallel group-commit flush over a sharded store: the sorted dirty
-    /// tiles are partitioned into contiguous ranges, one range per worker.
-    /// Every tile is applied by exactly one worker (one shard lock, one
-    /// read-modify-write), so the result is bit-identical to
-    /// [`flush_into`](DeltaBuffer::flush_into) for any `workers >= 1`.
-    pub fn flush_into_shared<M: TilingMap, S: BlockStore + Send + Sync>(
+    /// Group-commit flush: one read-modify-write per dirty tile, then a
+    /// single pool flush. The sorted dirty tiles are partitioned into
+    /// contiguous ranges, one per worker (`workers <= 1` applies them in
+    /// ascending block order on the calling thread). Every tile is
+    /// applied by exactly one worker — one shard lock, one
+    /// read-modify-write, its ops in arrival order — so the stored bits
+    /// are identical for any worker count.
+    pub fn flush_into<M: TilingMap, S: BlockStore + Send + Sync>(
         &mut self,
         cs: &SharedCoeffStore<M, S>,
         workers: usize,
@@ -337,6 +313,8 @@ impl DeltaBuffer {
         let mut sw = Stopwatch::start();
         let (entries, report) = self.drain_sorted();
         if entries.is_empty() {
+            // Nothing drained: no tile writes, no durability flush, no
+            // flush metrics — a no-op commit must not charge a flush.
             return report;
         }
         let deltas_per_tile = ss_obs::global().histogram("maintain.deltas_per_tile");
@@ -344,27 +322,14 @@ impl DeltaBuffer {
             deltas_per_tile.record(payload.ops());
         }
         let total = entries.len();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let lo = total * w / workers;
-                let hi = total * (w + 1) / workers;
-                if lo == hi {
-                    continue;
+        ss_transform::run_workers(workers, |w| {
+            for (tile, payload) in &entries[total * w / workers..total * (w + 1) / workers] {
+                // The store hooks charge one coefficient write per op (or
+                // per touched slot of a dense accumulator).
+                match payload {
+                    TileApply::Sparse(ops) => cs.apply_tile(*tile, ops),
+                    TileApply::Dense { acc, touched } => cs.apply_tile_dense(*tile, acc, *touched),
                 }
-                let range = &entries[lo..hi];
-                scope.spawn(move || {
-                    for (tile, payload) in range {
-                        // Coefficient-write accounting lives inside the
-                        // store calls, matching `flush_into`'s per-tile
-                        // `add_coeff_writes` exactly (see the parity test).
-                        match payload {
-                            TileApply::Sparse(ops) => cs.apply_tile(*tile, ops),
-                            TileApply::Dense { acc, touched } => {
-                                cs.apply_tile_dense(*tile, acc, *touched)
-                            }
-                        }
-                    }
-                });
             }
         });
         cs.flush();
@@ -392,7 +357,7 @@ fn record_flush_metrics(report: &FlushReport, flush_ns: u64) {
 mod tests {
     use super::*;
     use ss_core::StandardTiling;
-    use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
+    use ss_storage::{mem_shared_store, IoStats};
 
     fn map() -> StandardTiling {
         StandardTiling::cube(2, 4, 2)
@@ -400,8 +365,9 @@ mod tests {
 
     #[test]
     fn exact_flush_replays_in_arrival_order() {
+        let _quiet = crate::flush_counter_guard();
         let m = map();
-        let mut cs = mem_store(m.clone(), 8, IoStats::default());
+        let cs = mem_shared_store(m.clone(), 8, 1, IoStats::default());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
         // Deltas whose sum depends on association order.
         let vals = [1e16, 1.0, -1e16, 1.0];
@@ -409,7 +375,7 @@ mod tests {
         for &v in &vals {
             buf.add(3, 5, v);
         }
-        let report = buf.flush_into(&mut cs);
+        let report = buf.flush_into(&cs, 1);
         assert_eq!(report.tiles_written, 1);
         assert_eq!(report.deltas, 4);
         let mut expect = 0.0f64;
@@ -422,14 +388,15 @@ mod tests {
 
     #[test]
     fn merged_flush_sums_before_applying() {
+        let _quiet = crate::flush_counter_guard();
         let m = map();
-        let mut cs = mem_store(m.clone(), 8, IoStats::default());
+        let cs = mem_shared_store(m.clone(), 8, 1, IoStats::default());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
         buf.begin_box();
         buf.add(0, 1, 2.0);
         buf.add(0, 1, 3.0);
         buf.add(0, 2, -1.0);
-        let report = buf.flush_into(&mut cs);
+        let report = buf.flush_into(&cs, 1);
         assert_eq!(report.tiles_written, 1);
         assert_eq!(cs.read_at(0, 1), 5.0);
         assert_eq!(cs.read_at(0, 2), -1.0);
@@ -439,17 +406,18 @@ mod tests {
 
     #[test]
     fn one_block_write_per_dirty_tile() {
+        let _quiet = crate::flush_counter_guard();
         let m = map();
         let stats = IoStats::default();
         // Pool large enough that only the final flush writes blocks.
-        let mut cs = mem_store(m.clone(), m.num_tiles(), stats.clone());
+        let cs = mem_shared_store(m.clone(), m.num_tiles(), 1, stats.clone());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
         for b in 0..10 {
             buf.begin_box();
             buf.add(0, 0, b as f64); // every box touches tile 0
             buf.add(1 + b % 3, 0, 1.0);
         }
-        let report = buf.flush_into(&mut cs);
+        let report = buf.flush_into(&cs, 1);
         assert_eq!(report.tiles_written, 4); // tiles 0,1,2,3
         assert_eq!(report.tile_touches, 20); // 10 boxes × 2 tiles each
         assert_eq!(report.coalescing_ratio(), 5.0);
@@ -458,8 +426,9 @@ mod tests {
 
     #[test]
     fn parallel_flush_is_bit_identical_for_any_worker_count() {
+        let _quiet = crate::flush_counter_guard();
         let m = map();
-        let mut serial = mem_store(m.clone(), 8, IoStats::default());
+        let serial = mem_shared_store(m.clone(), 8, 1, IoStats::default());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
         let deltas: Vec<(usize, usize, f64)> = (0..200)
             .map(|i| ((i * 7) % m.num_tiles(), (i * 5) % 16, 0.1 + i as f64 * 1e-3))
@@ -470,7 +439,7 @@ mod tests {
                 buf.add(t, s, v);
             }
         }
-        buf.flush_into(&mut serial);
+        buf.flush_into(&serial, 1);
         for workers in [1usize, 2, 3, 8, 16, 64] {
             let shared = mem_shared_store(m.clone(), 8, 4, IoStats::default());
             let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
@@ -480,10 +449,10 @@ mod tests {
                     buf.add(t, s, v);
                 }
             }
-            let report = buf.flush_into_shared(&shared, workers);
+            let report = buf.flush_into(&shared, workers);
             assert_eq!(report.deltas, 200);
             let (map_back, store) = shared.into_parts();
-            let mut check = CoeffStore::new(map_back, store, 8, IoStats::default());
+            let check = SharedCoeffStore::new(map_back, store, 8, 1, IoStats::default());
             for tile in 0..m.num_tiles() {
                 for slot in 0..16 {
                     assert_eq!(
@@ -498,16 +467,17 @@ mod tests {
 
     #[test]
     fn parallel_flush_applies_all_tiles_when_workers_exceed_dirty_count() {
+        let _quiet = crate::flush_counter_guard();
         let m = map();
         // Only 3 dirty tiles, far fewer than the worker counts below.
         let deltas: [(usize, usize, f64); 3] = [(0, 1, 1.0), (2, 5, 2.0), (5, 9, 3.0)];
-        let mut serial = mem_store(m.clone(), 8, IoStats::default());
+        let serial = mem_shared_store(m.clone(), 8, 1, IoStats::default());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
         buf.begin_box();
         for &(t, s, v) in &deltas {
             buf.add(t, s, v);
         }
-        buf.flush_into(&mut serial);
+        buf.flush_into(&serial, 1);
         for workers in [4usize, 8, 16] {
             let shared = mem_shared_store(m.clone(), 8, 4, IoStats::default());
             let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
@@ -515,10 +485,10 @@ mod tests {
             for &(t, s, v) in &deltas {
                 buf.add(t, s, v);
             }
-            let report = buf.flush_into_shared(&shared, workers);
+            let report = buf.flush_into(&shared, workers);
             assert_eq!(report.tiles_written, 3);
             let (map_back, store) = shared.into_parts();
-            let mut check = CoeffStore::new(map_back, store, 8, IoStats::default());
+            let check = SharedCoeffStore::new(map_back, store, 8, 1, IoStats::default());
             for &(t, s, v) in &deltas {
                 assert_eq!(
                     check.read_at(t, s).to_bits(),
@@ -537,10 +507,13 @@ mod tests {
     fn empty_flush_is_a_noop() {
         let m = map();
         let stats = IoStats::default();
-        let mut cs = mem_store(m.clone(), 8, stats.clone());
+        let cs = mem_shared_store(m.clone(), 8, 1, stats.clone());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
+        // `maintain.flushes` is process-global: hold off this crate's
+        // other flushing tests while watching it.
+        let _quiet = crate::flush_counter_guard();
         let flushes_before = ss_obs::global().counter("maintain.flushes").get();
-        let report = buf.flush_into(&mut cs);
+        let report = buf.flush_into(&cs, 1);
         assert_eq!(report, FlushReport::default());
         assert_eq!(report.coalescing_ratio(), 1.0);
         // An empty drain must not charge a durability flush or emit flush
@@ -550,9 +523,9 @@ mod tests {
             flushes_before
         );
         assert_eq!(stats.snapshot().block_writes, 0);
-        // Same for the shared path.
+        // Same for a multi-worker flush over a sharded store.
         let shared = mem_shared_store(m.clone(), 8, 4, IoStats::default());
-        let report = buf.flush_into_shared(&shared, 4);
+        let report = buf.flush_into(&shared, 4);
         assert_eq!(report, FlushReport::default());
         assert_eq!(
             ss_obs::global().counter("maintain.flushes").get(),
@@ -562,16 +535,18 @@ mod tests {
 
     #[test]
     fn implicit_first_box_counts_once() {
+        let _quiet = crate::flush_counter_guard();
         let m = map();
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Exact);
         buf.add(0, 0, 1.0); // no begin_box
-        let mut cs = mem_store(m, 8, IoStats::default());
-        let report = buf.flush_into(&mut cs);
+        let cs = mem_shared_store(m, 8, 1, IoStats::default());
+        let report = buf.flush_into(&cs, 1);
         assert_eq!(report.boxes, 1);
     }
 
     #[test]
     fn implicit_box_followed_by_explicit_boxes_counts_both() {
+        let _quiet = crate::flush_counter_guard();
         // Regression: deltas before the first begin_box are one implicit
         // operation; tile_touches counted it but `boxes` did not, which
         // inflated the coalescing ratio.
@@ -580,8 +555,8 @@ mod tests {
         buf.add(0, 0, 1.0); // implicit first operation
         buf.begin_box();
         buf.add(0, 1, 2.0); // explicit second operation, same tile
-        let mut cs = mem_store(m, 8, IoStats::default());
-        let report = buf.flush_into(&mut cs);
+        let cs = mem_shared_store(m, 8, 1, IoStats::default());
+        let report = buf.flush_into(&cs, 1);
         assert_eq!(report.boxes, 2);
         assert_eq!(report.tile_touches, 2);
         assert_eq!(report.tiles_written, 1);
@@ -590,12 +565,13 @@ mod tests {
 
     #[test]
     fn merged_tiles_that_fully_cancel_are_not_written() {
+        let _quiet = crate::flush_counter_guard();
         // Regression: +x and −x boxes landing on the same tile cancel to
         // an all-zero accumulator; the drain used to count that tile in
         // `tiles_written` and still issue a dirtying read-modify-write.
         let m = map();
         let stats = IoStats::default();
-        let mut cs = mem_store(m.clone(), m.num_tiles(), stats.clone());
+        let cs = mem_shared_store(m.clone(), m.num_tiles(), 1, stats.clone());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
         buf.begin_box();
         buf.add(2, 4, 7.5); // +x box
@@ -605,7 +581,7 @@ mod tests {
         buf.add(2, 5, -1.0);
         buf.begin_box();
         buf.add(5, 0, 3.0); // a surviving tile, so the flush is not empty
-        let report = buf.flush_into(&mut cs);
+        let report = buf.flush_into(&cs, 1);
         assert_eq!(report.tiles_written, 1, "cancelled tile must not count");
         assert_eq!(report.tile_touches, 3, "touches still reflect arrivals");
         assert_eq!(stats.snapshot().block_writes, 1, "tile 2 must stay clean");
@@ -623,7 +599,7 @@ mod tests {
         buf.add(2, 4, -7.5);
         buf.begin_box();
         buf.add(5, 0, 3.0);
-        let report = buf.flush_into_shared(&shared, 4);
+        let report = buf.flush_into(&shared, 4);
         assert_eq!(report.tiles_written, 1);
         assert_eq!(shared_stats.snapshot().block_writes, 1);
         assert_eq!(shared_stats.snapshot().coeff_writes, 1);
@@ -631,17 +607,18 @@ mod tests {
 
     #[test]
     fn serial_and_sharded_flush_record_identical_coeff_writes() {
-        // Regression: `flush_into` charged `add_coeff_writes` per tile in
-        // the flush loop while `flush_into_shared` relied on the store's
-        // apply hooks — the two paths must account identically, in both
-        // flush modes.
+        let _quiet = crate::flush_counter_guard();
+        // Regression: the one-worker flush once charged
+        // `add_coeff_writes` per tile in its own loop while the sharded
+        // flush relied on the store's apply hooks — both must account
+        // identically, in both flush modes.
         for mode in [FlushMode::Exact, FlushMode::Merged] {
             let m = map();
             let deltas: Vec<(usize, usize, f64)> = (0..60)
                 .map(|i| ((i * 3) % m.num_tiles(), (i * 7) % 16, 0.25 + i as f64))
                 .collect();
             let serial_stats = IoStats::default();
-            let mut cs = mem_store(m.clone(), 8, serial_stats.clone());
+            let cs = mem_shared_store(m.clone(), 8, 1, serial_stats.clone());
             let mut buf = DeltaBuffer::for_map(&m, mode);
             for chunk in deltas.chunks(6) {
                 buf.begin_box();
@@ -649,7 +626,7 @@ mod tests {
                     buf.add(t, s, v);
                 }
             }
-            let serial_report = buf.flush_into(&mut cs);
+            let serial_report = buf.flush_into(&cs, 1);
             let shared_stats = IoStats::default();
             let shared = mem_shared_store(m.clone(), 8, 4, shared_stats.clone());
             let mut buf = DeltaBuffer::for_map(&m, mode);
@@ -659,7 +636,7 @@ mod tests {
                     buf.add(t, s, v);
                 }
             }
-            let shared_report = buf.flush_into_shared(&shared, 3);
+            let shared_report = buf.flush_into(&shared, 3);
             assert_eq!(serial_report, shared_report, "mode {mode:?}");
             assert_eq!(
                 serial_stats.snapshot().coeff_writes,
@@ -671,17 +648,18 @@ mod tests {
 
     #[test]
     fn merged_dense_apply_matches_sparse_replay_bitwise() {
+        let _quiet = crate::flush_counter_guard();
         // The vectorised dense pass must produce the same stored bits as
         // lowering the accumulator to a sparse op list would have.
         let m = map();
-        let mut dense_cs = mem_store(m.clone(), 8, IoStats::default());
+        let dense_cs = mem_shared_store(m.clone(), 8, 1, IoStats::default());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
         buf.begin_box();
         for i in 0..64usize {
             buf.add(i % m.num_tiles(), (i * 11) % 16, (i as f64 - 31.5) * 0.125);
         }
-        buf.flush_into(&mut dense_cs);
-        let mut sparse_cs = mem_store(m.clone(), 8, IoStats::default());
+        buf.flush_into(&dense_cs, 1);
+        let sparse_cs = mem_shared_store(m.clone(), 8, 1, IoStats::default());
         let mut buf = DeltaBuffer::for_map(&m, FlushMode::Merged);
         buf.begin_box();
         for i in 0..64usize {

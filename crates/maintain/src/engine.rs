@@ -1,10 +1,10 @@
 //! Batch drivers over a [`DeltaBuffer`]: group-committed box updates (both
-//! forms, serial and parallel flush) and a coalesced ingest driver.
+//! forms, flushed by any number of workers) and a coalesced ingest driver.
 
 use crate::buffer::{DeltaBuffer, FlushMode, FlushReport};
 use ss_array::{MultiIndexIter, NdArray};
 use ss_core::TilingMap;
-use ss_storage::{BlockStore, CoeffStore, SharedCoeffStore};
+use ss_storage::{BlockStore, SharedCoeffStore};
 use ss_transform::{ChunkSource, UpdateReport};
 
 /// Outcome of a group-committed batch of box updates.
@@ -16,103 +16,59 @@ pub struct BatchReport {
     pub flush: FlushReport,
 }
 
-/// Buffers one standard-form box update's delta stream without flushing.
-fn buffer_box_standard(
-    buf: &mut DeltaBuffer,
-    map: &impl TilingMap,
-    n: &[u32],
-    origin: &[usize],
-    delta: &NdArray<f64>,
-) -> UpdateReport {
-    buf.begin_box();
-    ss_transform::for_each_box_delta_standard(n, origin, delta, |idx, v| buf.add_at(map, idx, v))
-}
-
-/// Buffers one non-standard-form box update's delta stream.
-fn buffer_box_nonstandard(
-    buf: &mut DeltaBuffer,
-    map: &impl TilingMap,
-    n: u32,
-    origin: &[usize],
-    delta: &NdArray<f64>,
-) -> UpdateReport {
-    buf.begin_box();
-    ss_transform::for_each_box_delta_nonstandard(n, origin, delta, |idx, v| buf.add_at(map, idx, v))
-}
-
-/// Applies a batch of standard-form box updates with one group-commit
-/// flush: every dirty tile is read and written exactly once, however many
-/// boxes touched it. In [`FlushMode::Exact`] the stored coefficients are
-/// bit-identical to applying [`ss_transform::update_box_standard`] box by
-/// box in the same order.
-pub fn update_boxes_standard<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
-    n: &[u32],
+/// Buffers every box's delta stream through `deltas` (one operation per
+/// box), then group-commits the batch across `workers` threads.
+fn update_boxes<M: TilingMap, S: BlockStore + Send + Sync>(
+    cs: &SharedCoeffStore<M, S>,
     boxes: &[(Vec<usize>, NdArray<f64>)],
     mode: FlushMode,
+    workers: usize,
+    deltas: impl Fn(&[usize], &NdArray<f64>, &mut dyn FnMut(&[usize], f64)) -> UpdateReport,
 ) -> BatchReport {
     let mut buf = DeltaBuffer::for_map(cs.map(), mode);
     let mut update = UpdateReport::default();
     for (origin, delta) in boxes {
-        update.merge(buffer_box_standard(&mut buf, cs.map(), n, origin, delta));
+        buf.begin_box();
+        update.merge(deltas(origin, delta, &mut |idx, v| {
+            buf.add_at(cs.map(), idx, v)
+        }));
     }
-    let flush = buf.flush_into(cs);
+    let flush = buf.flush_into(cs, workers);
     BatchReport { update, flush }
 }
 
-/// [`update_boxes_standard`] with the flush sharded across `workers`
-/// threads of a [`SharedCoeffStore`]. Buffering stays serial (it defines
-/// the replay order); each dirty tile is owned by exactly one worker, so
-/// the result is bit-identical to the serial flush for any worker count.
-pub fn update_boxes_standard_parallel<M: TilingMap, S: BlockStore + Send + Sync>(
+/// Applies a batch of standard-form box updates with one group-commit
+/// flush: every dirty tile is read and written exactly once, however many
+/// boxes touched it. Buffering is serial (it defines the replay order);
+/// the flush is sharded across `workers` threads, each dirty tile owned
+/// by exactly one of them. In [`FlushMode::Exact`] the stored
+/// coefficients are bit-identical, for any worker count, to applying
+/// [`ss_transform::update_box_standard`] box by box in the same order.
+pub fn update_boxes_standard<M: TilingMap, S: BlockStore + Send + Sync>(
     cs: &SharedCoeffStore<M, S>,
     n: &[u32],
     boxes: &[(Vec<usize>, NdArray<f64>)],
     mode: FlushMode,
     workers: usize,
 ) -> BatchReport {
-    let mut buf = DeltaBuffer::for_map(cs.map(), mode);
-    let mut update = UpdateReport::default();
-    for (origin, delta) in boxes {
-        update.merge(buffer_box_standard(&mut buf, cs.map(), n, origin, delta));
-    }
-    let flush = buf.flush_into_shared(cs, workers);
-    BatchReport { update, flush }
+    update_boxes(cs, boxes, mode, workers, |origin, delta, add| {
+        ss_transform::for_each_box_delta_standard(n, origin, delta, add)
+    })
 }
 
 /// Non-standard-form twin of [`update_boxes_standard`]: the domain is a
 /// `(2^n)^d` hypercube and every dyadic piece is subdivided into aligned
 /// cubes before SHIFT-SPLIT.
-pub fn update_boxes_nonstandard<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
-    n: u32,
-    boxes: &[(Vec<usize>, NdArray<f64>)],
-    mode: FlushMode,
-) -> BatchReport {
-    let mut buf = DeltaBuffer::for_map(cs.map(), mode);
-    let mut update = UpdateReport::default();
-    for (origin, delta) in boxes {
-        update.merge(buffer_box_nonstandard(&mut buf, cs.map(), n, origin, delta));
-    }
-    let flush = buf.flush_into(cs);
-    BatchReport { update, flush }
-}
-
-/// Non-standard-form twin of [`update_boxes_standard_parallel`].
-pub fn update_boxes_nonstandard_parallel<M: TilingMap, S: BlockStore + Send + Sync>(
+pub fn update_boxes_nonstandard<M: TilingMap, S: BlockStore + Send + Sync>(
     cs: &SharedCoeffStore<M, S>,
     n: u32,
     boxes: &[(Vec<usize>, NdArray<f64>)],
     mode: FlushMode,
     workers: usize,
 ) -> BatchReport {
-    let mut buf = DeltaBuffer::for_map(cs.map(), mode);
-    let mut update = UpdateReport::default();
-    for (origin, delta) in boxes {
-        update.merge(buffer_box_nonstandard(&mut buf, cs.map(), n, origin, delta));
-    }
-    let flush = buf.flush_into_shared(cs, workers);
-    BatchReport { update, flush }
+    update_boxes(cs, boxes, mode, workers, |origin, delta, add| {
+        ss_transform::for_each_box_delta_nonstandard(n, origin, delta, add)
+    })
 }
 
 /// Outcome of a coalesced ingest run.
@@ -139,9 +95,9 @@ pub struct IngestReport {
 /// per-chunk driver: each chunk contributes at most one delta per
 /// coefficient, so arrival-ordered replay preserves the per-coefficient
 /// addition sequence.
-pub fn transform_standard_coalesced<M: TilingMap, S: BlockStore>(
+pub fn transform_standard_coalesced<M: TilingMap, S: BlockStore + Send + Sync>(
     src: &impl ChunkSource,
-    cs: &mut CoeffStore<M, S>,
+    cs: &SharedCoeffStore<M, S>,
     group: usize,
     mode: FlushMode,
 ) -> IngestReport {
@@ -167,12 +123,12 @@ pub fn transform_standard_coalesced<M: TilingMap, S: BlockStore>(
         report.chunks += 1;
         report.input_coeffs += chunk.len() as u64;
         if group > 0 && report.chunks % group == 0 {
-            report.flush.merge(buf.flush_into(cs));
+            report.flush.merge(buf.flush_into(cs, 1));
             report.flushes += 1;
         }
     }
     if !buf.is_empty() {
-        report.flush.merge(buf.flush_into(cs));
+        report.flush.merge(buf.flush_into(cs, 1));
         report.flushes += 1;
     }
     report
@@ -184,7 +140,7 @@ mod tests {
     use ss_array::Shape;
     use ss_core::{NonStandardTiling, StandardTiling};
     use ss_datagen::SplitMix64;
-    use ss_storage::{mem_shared_store, wstore::mem_store, IoStats};
+    use ss_storage::{mem_shared_store, IoStats};
     use ss_transform::ArraySource;
 
     fn random_boxes(
@@ -207,8 +163,8 @@ mod tests {
     }
 
     fn assert_stores_identical<M: TilingMap>(
-        a: &mut CoeffStore<M, ss_storage::MemBlockStore>,
-        b: &mut CoeffStore<M, ss_storage::MemBlockStore>,
+        a: &SharedCoeffStore<M, ss_storage::MemBlockStore>,
+        b: &SharedCoeffStore<M, ss_storage::MemBlockStore>,
         label: &str,
     ) {
         let tiles = a.map().num_tiles();
@@ -226,35 +182,37 @@ mod tests {
 
     #[test]
     fn batched_standard_matches_serial_bit_for_bit() {
+        let _quiet = crate::flush_counter_guard();
         let n = [4u32, 4];
         let map = StandardTiling::new(&n, &[2, 2]);
         let mut rng = SplitMix64::new(7);
         let boxes = random_boxes(&mut rng, &[16, 16], 12);
 
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
+        let serial = mem_shared_store(map.clone(), 4, 1, IoStats::default());
         for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+            ss_transform::update_box_standard(&serial, &n, origin, delta);
         }
-        let mut batched = mem_store(map.clone(), 4, IoStats::default());
-        let report = update_boxes_standard(&mut batched, &n, &boxes, FlushMode::Exact);
+        let batched = mem_shared_store(map.clone(), 4, 1, IoStats::default());
+        let report = update_boxes_standard(&batched, &n, &boxes, FlushMode::Exact, 1);
         assert_eq!(report.flush.boxes, 12);
         assert!(report.flush.coalescing_ratio() > 1.0);
-        assert_stores_identical(&mut serial, &mut batched, "standard exact");
+        assert_stores_identical(&serial, &batched, "standard exact");
     }
 
     #[test]
     fn batched_standard_merged_matches_within_tolerance() {
+        let _quiet = crate::flush_counter_guard();
         let n = [4u32, 3];
         let map = StandardTiling::new(&n, &[2, 1]);
         let mut rng = SplitMix64::new(11);
         let boxes = random_boxes(&mut rng, &[16, 8], 10);
 
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
+        let serial = mem_shared_store(map.clone(), 4, 1, IoStats::default());
         for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+            ss_transform::update_box_standard(&serial, &n, origin, delta);
         }
-        let mut batched = mem_store(map.clone(), 4, IoStats::default());
-        update_boxes_standard(&mut batched, &n, &boxes, FlushMode::Merged);
+        let batched = mem_shared_store(map.clone(), 4, 1, IoStats::default());
+        update_boxes_standard(&batched, &n, &boxes, FlushMode::Merged, 1);
         for tile in 0..map.num_tiles() {
             for slot in 0..map.block_capacity() {
                 let a = serial.read_at(tile, slot);
@@ -266,41 +224,44 @@ mod tests {
 
     #[test]
     fn batched_nonstandard_matches_serial_bit_for_bit() {
+        let _quiet = crate::flush_counter_guard();
         let n = 4u32;
         let map = NonStandardTiling::new(2, n, 2);
         let mut rng = SplitMix64::new(23);
         let boxes = random_boxes(&mut rng, &[16, 16], 8);
 
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
+        let serial = mem_shared_store(map.clone(), 4, 1, IoStats::default());
         for (origin, delta) in &boxes {
-            ss_transform::update_box_nonstandard(&mut serial, n, origin, delta);
+            ss_transform::update_box_nonstandard(&serial, n, origin, delta);
         }
-        let mut batched = mem_store(map.clone(), 4, IoStats::default());
-        let report = update_boxes_nonstandard(&mut batched, n, &boxes, FlushMode::Exact);
+        let batched = mem_shared_store(map.clone(), 4, 1, IoStats::default());
+        let report = update_boxes_nonstandard(&batched, n, &boxes, FlushMode::Exact, 1);
         assert_eq!(report.flush.boxes, 8);
-        assert_stores_identical(&mut serial, &mut batched, "nonstandard exact");
+        assert_stores_identical(&serial, &batched, "nonstandard exact");
     }
 
     #[test]
     fn parallel_batch_matches_serial_batch() {
+        let _quiet = crate::flush_counter_guard();
         let n = [5u32, 4];
         let map = StandardTiling::new(&n, &[2, 2]);
         let mut rng = SplitMix64::new(41);
         let boxes = random_boxes(&mut rng, &[32, 16], 16);
 
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
-        update_boxes_standard(&mut serial, &n, &boxes, FlushMode::Exact);
+        let serial = mem_shared_store(map.clone(), 4, 1, IoStats::default());
+        update_boxes_standard(&serial, &n, &boxes, FlushMode::Exact, 1);
         for workers in [1usize, 2, 5] {
             let shared = mem_shared_store(map.clone(), 8, 4, IoStats::default());
-            update_boxes_standard_parallel(&shared, &n, &boxes, FlushMode::Exact, workers);
+            update_boxes_standard(&shared, &n, &boxes, FlushMode::Exact, workers);
             let (m, store) = shared.into_parts();
-            let mut check = CoeffStore::new(m, store, 4, IoStats::default());
-            assert_stores_identical(&mut serial, &mut check, "parallel");
+            let check = SharedCoeffStore::new(m, store, 4, 1, IoStats::default());
+            assert_stores_identical(&serial, &check, "parallel");
         }
     }
 
     #[test]
     fn batched_writes_fewer_blocks_than_serial() {
+        let _quiet = crate::flush_counter_guard();
         let n = [5u32, 5];
         let map = StandardTiling::new(&n, &[2, 2]);
         let mut rng = SplitMix64::new(3);
@@ -309,13 +270,13 @@ mod tests {
         // Tiny pool (1 block) so every tile touch after an eviction is a
         // real block write; this is where coalescing pays.
         let serial_stats = IoStats::default();
-        let mut serial = mem_store(map.clone(), 1, serial_stats.clone());
+        let serial = mem_shared_store(map.clone(), 1, 1, serial_stats.clone());
         for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+            ss_transform::update_box_standard(&serial, &n, origin, delta);
         }
         let batched_stats = IoStats::default();
-        let mut batched = mem_store(map.clone(), 1, batched_stats.clone());
-        let report = update_boxes_standard(&mut batched, &n, &boxes, FlushMode::Exact);
+        let batched = mem_shared_store(map.clone(), 1, 1, batched_stats.clone());
+        let report = update_boxes_standard(&batched, &n, &boxes, FlushMode::Exact, 1);
         let sw = serial_stats.snapshot().block_writes;
         let bw = batched_stats.snapshot().block_writes;
         assert_eq!(bw, report.flush.tiles_written);
@@ -327,18 +288,18 @@ mod tests {
 
     #[test]
     fn coalesced_ingest_matches_per_chunk_driver() {
+        let _quiet = crate::flush_counter_guard();
         let mut rng = SplitMix64::new(99);
         let data = NdArray::from_fn(Shape::new(&[16, 16]), |_| rng.range(-10.0, 10.0));
         let src = ArraySource::new(&data, &[2, 2]);
         let map = StandardTiling::new(&[4, 4], &[2, 2]);
 
-        let mut per_chunk = mem_store(map.clone(), 4, IoStats::default());
-        ss_transform::transform_standard(&src, &mut per_chunk, false);
+        let per_chunk = mem_shared_store(map.clone(), 4, 1, IoStats::default());
+        ss_transform::transform_standard(&src, &per_chunk, false);
         for group in [0usize, 1, 4, 7] {
             let stats = IoStats::default();
-            let mut coalesced = mem_store(map.clone(), 4, stats.clone());
-            let report =
-                transform_standard_coalesced(&src, &mut coalesced, group, FlushMode::Exact);
+            let coalesced = mem_shared_store(map.clone(), 4, 1, stats.clone());
+            let report = transform_standard_coalesced(&src, &coalesced, group, FlushMode::Exact);
             assert_eq!(report.chunks, 16);
             let expect_flushes = if group == 0 {
                 1
@@ -346,20 +307,21 @@ mod tests {
                 16usize.div_ceil(group)
             };
             assert_eq!(report.flushes, expect_flushes, "group={group}");
-            assert_stores_identical(&mut per_chunk, &mut coalesced, "ingest");
+            assert_stores_identical(&per_chunk, &coalesced, "ingest");
         }
     }
 
     #[test]
     fn coalescing_ratio_grows_with_group_size() {
+        let _quiet = crate::flush_counter_guard();
         let mut rng = SplitMix64::new(5);
         let data = NdArray::from_fn(Shape::new(&[32, 32]), |_| rng.range(-1.0, 1.0));
         let src = ArraySource::new(&data, &[2, 2]);
         let map = StandardTiling::new(&[5, 5], &[2, 2]);
         let mut prev = 0.0f64;
         for group in [1usize, 4, 16, 64] {
-            let mut cs = mem_store(map.clone(), 4, IoStats::default());
-            let report = transform_standard_coalesced(&src, &mut cs, group, FlushMode::Exact);
+            let cs = mem_shared_store(map.clone(), 4, 1, IoStats::default());
+            let report = transform_standard_coalesced(&src, &cs, group, FlushMode::Exact);
             let ratio = report.flush.coalescing_ratio();
             assert!(
                 ratio >= prev,

@@ -13,17 +13,15 @@
 //! * [`DeltaBuffer`] — accumulates `(tile, slot, delta)` contributions
 //!   keyed by tile ordinal, merging work destined for the same block,
 //! * [`DeltaBuffer::flush_into`] — exactly one read-modify-write per dirty
-//!   tile, visited in ascending block order (sequential I/O for
-//!   `FileBlockStore`), followed by a single pool flush (one meta/CRC
-//!   writeback per *flush*, not per box),
-//! * [`DeltaBuffer::flush_into_shared`] — the same flush sharded over a
-//!   worker pool: dirty tiles are partitioned into contiguous ranges, each
-//!   tile is owned by exactly one worker, so results are bit-identical to
-//!   the serial flush for any worker count,
+//!   tile followed by a single pool flush (one meta/CRC writeback per
+//!   *flush*, not per box). One worker visits tiles in ascending block
+//!   order (sequential I/O for `FileBlockStore`); more workers partition
+//!   them into contiguous ranges, each tile owned by exactly one worker,
+//!   so results are bit-identical for any worker count,
 //! * [`engine`] — box-batch drivers ([`update_boxes_standard`],
-//!   [`update_boxes_nonstandard`], parallel twins) and a coalesced ingest
-//!   driver ([`transform_standard_coalesced`]) that group-commits every
-//!   `group` chunks.
+//!   [`update_boxes_nonstandard`], both taking a worker count) and a
+//!   coalesced ingest driver ([`transform_standard_coalesced`]) that
+//!   group-commits every `group` chunks.
 //!
 //! # Exactness
 //!
@@ -68,10 +66,10 @@
 //! use ss_core::tiling::StandardTiling;
 //! use ss_core::TilingMap;
 //! use ss_maintain::{DeltaBuffer, FlushMode};
-//! use ss_storage::{wstore::mem_store, IoStats};
+//! use ss_storage::{mem_shared_store, IoStats};
 //!
 //! let map = StandardTiling::new(&[4, 4], &[2, 2]); // 16x16, 4x4 tiles
-//! let mut cs = mem_store(map.clone(), 1 << 10, IoStats::new());
+//! let cs = mem_shared_store(map.clone(), 1 << 10, 1, IoStats::new());
 //!
 //! let mut buf = DeltaBuffer::new(map.block_capacity(), FlushMode::Exact);
 //! // Two overlapping single-coefficient updates destined for one tile:
@@ -79,7 +77,7 @@
 //! buf.add(3, 1, 0.5);
 //! buf.begin_box();
 //! buf.add(3, 1, 0.25);
-//! let report = buf.flush_into(&mut cs);
+//! let report = buf.flush_into(&cs, 1);
 //!
 //! assert_eq!(report.boxes, 2);
 //! assert_eq!(report.tiles_written, 1); // coalesced: one RMW, not two
@@ -93,10 +91,18 @@ pub mod engine;
 pub mod snapshot;
 pub mod wal;
 
+/// Serialises this crate's unit tests that flush: `maintain.flushes` is a
+/// process-global counter, and one test asserts that it does not move.
+#[cfg(test)]
+pub(crate) fn flush_counter_guard() -> std::sync::MutexGuard<'static, ()> {
+    static FLUSHES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    FLUSHES.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
 pub use buffer::{DeltaBuffer, DrainedTileOps, FlushMode, FlushReport};
 pub use engine::{
-    transform_standard_coalesced, update_boxes_nonstandard, update_boxes_nonstandard_parallel,
-    update_boxes_standard, update_boxes_standard_parallel, BatchReport, IngestReport,
+    transform_standard_coalesced, update_boxes_nonstandard, update_boxes_standard, BatchReport,
+    IngestReport,
 };
 pub use snapshot::{PinnedSnapshot, SnapshotCoeffStore};
 pub use wal::{replay_records, Wal, WalRecord, WalScan, WalTile};

@@ -13,14 +13,10 @@ use proptest::prelude::*;
 use ss_array::{NdArray, Shape};
 use ss_core::{NonStandardTiling, StandardTiling, TilingMap};
 use ss_datagen::SplitMix64;
-use ss_maintain::{
-    update_boxes_nonstandard, update_boxes_nonstandard_parallel, update_boxes_standard,
-    update_boxes_standard_parallel, FlushMode,
-};
-use ss_storage::wstore::mem_store;
+use ss_maintain::{update_boxes_nonstandard, update_boxes_standard, FlushMode};
 use ss_storage::{
-    mem_shared_store, BlockStore, CoeffStore, FaultConfig, FaultInjectingBlockStore, IoStats,
-    MemBlockStore, RetryPolicy, RetryingBlockStore,
+    mem_shared_store, BlockStore, FaultConfig, FaultInjectingBlockStore, IoStats, MemBlockStore,
+    RetryPolicy, RetryingBlockStore, SharedCoeffStore,
 };
 
 /// `count` boxes with random origins, extents (≤ 5 per axis) and values,
@@ -43,7 +39,7 @@ fn random_boxes(seed: u64, dims: &[usize], count: usize) -> Vec<(Vec<usize>, NdA
 }
 
 /// Every (tile, slot) of both stores holds the same bit pattern.
-fn assert_identical<M, A, B>(a: &mut CoeffStore<M, A>, b: &mut CoeffStore<M, B>, label: &str)
+fn assert_identical<M, A, B>(a: &SharedCoeffStore<M, A>, b: &SharedCoeffStore<M, B>, label: &str)
 where
     M: TilingMap,
     A: BlockStore,
@@ -68,7 +64,7 @@ type FaultyStore = RetryingBlockStore<FaultInjectingBlockStore<MemBlockStore>>;
 /// A store whose device drops `rate` of reads *and* writes (transient,
 /// deterministic per `seed`) beneath a bounded-retry layer — the flush
 /// path must come out unscathed.
-fn faulty_store<M: TilingMap>(map: M, rate: f64, seed: u64) -> CoeffStore<M, FaultyStore> {
+fn faulty_store<M: TilingMap>(map: M, rate: f64, seed: u64) -> SharedCoeffStore<M, FaultyStore> {
     let stats = IoStats::default();
     let inner = MemBlockStore::new(map.block_capacity(), map.num_tiles(), stats.clone());
     let cfg = FaultConfig {
@@ -81,7 +77,7 @@ fn faulty_store<M: TilingMap>(map: M, rate: f64, seed: u64) -> CoeffStore<M, Fau
         FaultInjectingBlockStore::new(inner, cfg),
         RetryPolicy::with_retries(16),
     );
-    CoeffStore::new(map, store, 4, stats)
+    SharedCoeffStore::new(map, store, 4, 1, stats)
 }
 
 proptest! {
@@ -93,14 +89,14 @@ proptest! {
         let map = StandardTiling::new(&n, &[2, 2]);
         let boxes = random_boxes(seed, &[16, 16], count);
 
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
+        let serial = mem_shared_store(map.clone(), 4, 1, IoStats::default());
         for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+            ss_transform::update_box_standard(&serial, &n, origin, delta);
         }
-        let mut batched = mem_store(map, 4, IoStats::default());
-        let report = update_boxes_standard(&mut batched, &n, &boxes, FlushMode::Exact);
+        let batched = mem_shared_store(map, 4, 1, IoStats::default());
+        let report = update_boxes_standard(&batched, &n, &boxes, FlushMode::Exact, 1);
         prop_assert_eq!(report.flush.boxes, count as u64);
-        assert_identical(&mut serial, &mut batched, "standard batch");
+        assert_identical(&serial, &batched, "standard batch");
     }
 
     #[test]
@@ -109,13 +105,13 @@ proptest! {
         let map = NonStandardTiling::new(2, n, 2);
         let boxes = random_boxes(seed, &[16, 16], count);
 
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
+        let serial = mem_shared_store(map.clone(), 4, 1, IoStats::default());
         for (origin, delta) in &boxes {
-            ss_transform::update_box_nonstandard(&mut serial, n, origin, delta);
+            ss_transform::update_box_nonstandard(&serial, n, origin, delta);
         }
-        let mut batched = mem_store(map, 4, IoStats::default());
-        update_boxes_nonstandard(&mut batched, n, &boxes, FlushMode::Exact);
-        assert_identical(&mut serial, &mut batched, "nonstandard batch");
+        let batched = mem_shared_store(map, 4, 1, IoStats::default());
+        update_boxes_nonstandard(&batched, n, &boxes, FlushMode::Exact, 1);
+        assert_identical(&serial, &batched, "nonstandard batch");
     }
 
     #[test]
@@ -128,15 +124,15 @@ proptest! {
         let map = StandardTiling::new(&n, &[2, 2]);
         let boxes = random_boxes(seed, &[16, 16], count);
 
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
+        let serial = mem_shared_store(map.clone(), 4, 1, IoStats::default());
         for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+            ss_transform::update_box_standard(&serial, &n, origin, delta);
         }
         let shared = mem_shared_store(map, 8, 4, IoStats::default());
-        update_boxes_standard_parallel(&shared, &n, &boxes, FlushMode::Exact, workers);
+        update_boxes_standard(&shared, &n, &boxes, FlushMode::Exact, workers);
         let (m, store) = shared.into_parts();
-        let mut check = CoeffStore::new(m, store, 4, IoStats::default());
-        assert_identical(&mut serial, &mut check, "standard parallel");
+        let check = SharedCoeffStore::new(m, store, 4, 1, IoStats::default());
+        assert_identical(&serial, &check, "standard parallel");
     }
 
     #[test]
@@ -149,15 +145,15 @@ proptest! {
         let map = NonStandardTiling::new(2, n, 2);
         let boxes = random_boxes(seed, &[16, 16], count);
 
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
+        let serial = mem_shared_store(map.clone(), 4, 1, IoStats::default());
         for (origin, delta) in &boxes {
-            ss_transform::update_box_nonstandard(&mut serial, n, origin, delta);
+            ss_transform::update_box_nonstandard(&serial, n, origin, delta);
         }
         let shared = mem_shared_store(map, 8, 4, IoStats::default());
-        update_boxes_nonstandard_parallel(&shared, n, &boxes, FlushMode::Exact, workers);
+        update_boxes_nonstandard(&shared, n, &boxes, FlushMode::Exact, workers);
         let (m, store) = shared.into_parts();
-        let mut check = CoeffStore::new(m, store, 4, IoStats::default());
-        assert_identical(&mut serial, &mut check, "nonstandard parallel");
+        let check = SharedCoeffStore::new(m, store, 4, 1, IoStats::default());
+        assert_identical(&serial, &check, "nonstandard parallel");
     }
 
     #[test]
@@ -172,12 +168,12 @@ proptest! {
         let map = StandardTiling::new(&n, &[2, 2]);
         let boxes = random_boxes(seed, &[16, 16], count);
 
-        let mut serial = mem_store(map.clone(), 4, IoStats::default());
+        let serial = mem_shared_store(map.clone(), 4, 1, IoStats::default());
         for (origin, delta) in &boxes {
-            ss_transform::update_box_standard(&mut serial, &n, origin, delta);
+            ss_transform::update_box_standard(&serial, &n, origin, delta);
         }
-        let mut faulty = faulty_store(map, 0.05, fault_seed);
-        update_boxes_standard(&mut faulty, &n, &boxes, FlushMode::Exact);
-        assert_identical(&mut serial, &mut faulty, "faulty batch");
+        let faulty = faulty_store(map, 0.05, fault_seed);
+        update_boxes_standard(&faulty, &n, &boxes, FlushMode::Exact, 1);
+        assert_identical(&serial, &faulty, "faulty batch");
     }
 }

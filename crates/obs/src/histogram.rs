@@ -81,13 +81,29 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Records one sample. Lock-free: three relaxed atomic RMWs.
+    /// Records one sample. Lock-free: four relaxed atomic RMWs, two for a
+    /// zero sample (which leaves the sum and the maximum unchanged).
     #[inline]
     pub fn record(&self, value: u64) {
         self.inner.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.sum.fetch_add(value, Ordering::Relaxed);
-        self.inner.max.fetch_max(value, Ordering::Relaxed);
+        if value != 0 {
+            self.inner.sum.fetch_add(value, Ordering::Relaxed);
+            self.inner.max.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+
+    /// Records `n` samples of the same `value` at the cost of one.
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        self.inner.buckets[bucket_of(value)].fetch_add(n, Ordering::Relaxed);
+        self.inner.count.fetch_add(n, Ordering::Relaxed);
+        if value != 0 {
+            self.inner
+                .sum
+                .fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
+            self.inner.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Total samples recorded so far.

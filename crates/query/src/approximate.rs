@@ -244,13 +244,14 @@ mod tests {
     use super::*;
     use ss_array::{MultiIndexIter, NdArray, Shape};
     use ss_core::tiling::StandardTiling;
-    use ss_storage::{wstore::mem_store, CoeffStore, IoStats, MemBlockStore};
+    use ss_storage::{mem_shared_store, IoStats, MemBlockStore, SharedCoeffStore};
 
-    fn build_store(a: &NdArray<f64>, n: &[u32]) -> CoeffStore<StandardTiling, MemBlockStore> {
+    fn build_store(a: &NdArray<f64>, n: &[u32]) -> SharedCoeffStore<StandardTiling, MemBlockStore> {
         let t = ss_core::standard::forward_to(a);
-        let mut cs = mem_store(
+        let cs = mem_shared_store(
             StandardTiling::new(n, &vec![2; n.len()]),
             1 << 12,
+            1,
             IoStats::new(),
         );
         for idx in MultiIndexIter::new(a.shape().dims()) {

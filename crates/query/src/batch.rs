@@ -148,14 +148,14 @@ mod tests {
     use super::*;
     use ss_array::{MultiIndexIter, NdArray, Shape};
     use ss_core::tiling::StandardTiling;
-    use ss_storage::{wstore::mem_store, CoeffStore, IoStats};
+    use ss_storage::{mem_shared_store, IoStats, SharedCoeffStore};
 
     fn setup(
         side: usize,
         n: u32,
     ) -> (
         NdArray<f64>,
-        CoeffStore<StandardTiling, ss_storage::MemBlockStore>,
+        SharedCoeffStore<StandardTiling, ss_storage::MemBlockStore>,
         IoStats,
     ) {
         let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
@@ -163,9 +163,10 @@ mod tests {
         });
         let t = ss_core::standard::forward_to(&data);
         let stats = IoStats::new();
-        let mut cs = mem_store(
+        let cs = mem_shared_store(
             StandardTiling::new(&[n; 2], &[2; 2]),
             1 << 12,
+            1,
             stats.clone(),
         );
         for idx in MultiIndexIter::new(&[side, side]) {

@@ -189,19 +189,19 @@ pub fn point_nonstandard_fast<C: CoeffRead<Map = NonStandardTiling>>(
 mod tests {
     use super::*;
     use ss_array::{MultiIndexIter, NdArray, Shape};
-    use ss_storage::{wstore::mem_store, CoeffStore, IoStats};
+    use ss_storage::{mem_shared_store, IoStats, SharedCoeffStore};
 
     fn store_standard(
         a: &NdArray<f64>,
         n: &[u32],
         b: &[u32],
     ) -> (
-        CoeffStore<StandardTiling, ss_storage::MemBlockStore>,
+        SharedCoeffStore<StandardTiling, ss_storage::MemBlockStore>,
         IoStats,
     ) {
         let t = ss_core::standard::forward_to(a);
         let stats = IoStats::new();
-        let mut cs = mem_store(StandardTiling::new(n, b), 1024, stats.clone());
+        let cs = mem_shared_store(StandardTiling::new(n, b), 1024, 1, stats.clone());
         for idx in MultiIndexIter::new(a.shape().dims()) {
             cs.write(&idx, t.get(&idx));
         }
@@ -233,7 +233,7 @@ mod tests {
     fn fast_point_query_standard_matches_plain() {
         let a = sample(&Shape::new(&[16, 16]));
         let (mut cs, _) = store_standard(&a, &[4, 4], &[2, 2]);
-        crate::scalings::materialize_standard_scalings(&mut cs, &[4, 4]);
+        crate::scalings::materialize_standard_scalings(&cs, &[4, 4]);
         for idx in MultiIndexIter::new(&[16, 16]) {
             let got = point_standard_fast(&mut cs, &idx);
             assert!(
@@ -248,7 +248,7 @@ mod tests {
     fn fast_point_query_reads_one_block() {
         let a = sample(&Shape::new(&[16, 16]));
         let (mut cs, stats) = store_standard(&a, &[4, 4], &[2, 2]);
-        crate::scalings::materialize_standard_scalings(&mut cs, &[4, 4]);
+        crate::scalings::materialize_standard_scalings(&cs, &[4, 4]);
         cs.clear_cache();
         stats.reset();
         let _ = point_standard_fast(&mut cs, &[9, 6]);
@@ -264,7 +264,7 @@ mod tests {
         let a = sample(&Shape::cube(2, 16));
         let t = ss_core::nonstandard::forward_to(&a);
         let stats = IoStats::new();
-        let mut cs = mem_store(NonStandardTiling::new(2, 4, 2), 1024, stats);
+        let mut cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 1024, 1, stats);
         for idx in MultiIndexIter::new(&[16, 16]) {
             cs.write(&idx, t.get(&idx));
         }
@@ -279,11 +279,11 @@ mod tests {
         let a = sample(&Shape::cube(2, 16));
         let t = ss_core::nonstandard::forward_to(&a);
         let stats = IoStats::new();
-        let mut cs = mem_store(NonStandardTiling::new(2, 4, 2), 1024, stats.clone());
+        let mut cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 1024, 1, stats.clone());
         for idx in MultiIndexIter::new(&[16, 16]) {
             cs.write(&idx, t.get(&idx));
         }
-        crate::scalings::materialize_nonstandard_scalings(&mut cs, 4);
+        crate::scalings::materialize_nonstandard_scalings(&cs, 4);
         for idx in MultiIndexIter::new(&[16, 16]) {
             let got = point_nonstandard_fast(&mut cs, 4, &idx);
             assert!((got - a.get(&idx)).abs() < 1e-9, "{idx:?}");

@@ -137,7 +137,7 @@ mod tests {
     use super::*;
     use ss_array::{MultiIndexIter, NdArray, Shape};
     use ss_core::tiling::{NonStandardTiling, StandardTiling};
-    use ss_storage::{wstore::mem_store, IoStats};
+    use ss_storage::{mem_shared_store, IoStats};
 
     #[test]
     fn standard_range_sum_matches_naive() {
@@ -145,7 +145,12 @@ mod tests {
             ((idx[0] * 3 + idx[1] * 5) % 11) as f64 - 4.0
         });
         let t = ss_core::standard::forward_to(&a);
-        let mut cs = mem_store(StandardTiling::new(&[4, 3], &[2, 1]), 1024, IoStats::new());
+        let mut cs = mem_shared_store(
+            StandardTiling::new(&[4, 3], &[2, 1]),
+            1024,
+            1,
+            IoStats::new(),
+        );
         for idx in MultiIndexIter::new(&[16, 8]) {
             cs.write(&idx, t.get(&idx));
         }
@@ -170,7 +175,7 @@ mod tests {
             ((idx[0] * 7 + idx[1]) % 9) as f64 + 0.25
         });
         let t = ss_core::nonstandard::forward_to(&a);
-        let mut cs = mem_store(NonStandardTiling::new(2, 4, 2), 1024, IoStats::new());
+        let mut cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 1024, 1, IoStats::new());
         for idx in MultiIndexIter::new(&[16, 16]) {
             cs.write(&idx, t.get(&idx));
         }
@@ -196,11 +201,16 @@ mod tests {
         });
         let t = ss_core::standard::forward_to(&a);
         let stats = IoStats::new();
-        let mut cs = mem_store(StandardTiling::new(&[6, 6], &[2, 2]), 4096, stats.clone());
+        let mut cs = mem_shared_store(
+            StandardTiling::new(&[6, 6], &[2, 2]),
+            4096,
+            1,
+            stats.clone(),
+        );
         for idx in MultiIndexIter::new(&[64, 64]) {
             cs.write(&idx, t.get(&idx));
         }
-        crate::scalings::materialize_standard_scalings(&mut cs, &[6, 6]);
+        crate::scalings::materialize_standard_scalings(&cs, &[6, 6]);
         for (lo, hi) in [
             ([0usize, 0usize], [63usize, 63usize]),
             ([3, 5], [42, 60]),
@@ -228,7 +238,7 @@ mod tests {
         let a = NdArray::from_fn(Shape::new(&[64]), |idx| idx[0] as f64);
         let t = ss_core::standard::forward_to(&a);
         let stats = IoStats::new();
-        let mut cs = mem_store(StandardTiling::new(&[6], &[2]), 1024, stats.clone());
+        let mut cs = mem_shared_store(StandardTiling::new(&[6], &[2]), 1024, 1, stats.clone());
         for i in 0..64usize {
             cs.write(&[i], t.get(&[i]));
         }

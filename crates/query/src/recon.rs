@@ -100,15 +100,15 @@ pub fn reconstruct_full_standard<C: CoeffRead>(
 mod tests {
     use super::*;
     use ss_core::tiling::{NonStandardTiling, StandardTiling};
-    use ss_storage::{wstore::mem_store, CoeffStore, IoStats};
+    use ss_storage::{mem_shared_store, IoStats, SharedCoeffStore};
 
     fn build(
         a: &NdArray<f64>,
         n: &[u32],
         b: &[u32],
-    ) -> CoeffStore<StandardTiling, ss_storage::MemBlockStore> {
+    ) -> SharedCoeffStore<StandardTiling, ss_storage::MemBlockStore> {
         let t = ss_core::standard::forward_to(a);
-        let mut cs = mem_store(StandardTiling::new(n, b), 4096, IoStats::new());
+        let cs = mem_shared_store(StandardTiling::new(n, b), 4096, 1, IoStats::new());
         for idx in MultiIndexIter::new(a.shape().dims()) {
             cs.write(&idx, t.get(&idx));
         }
@@ -171,7 +171,7 @@ mod tests {
     fn nonstandard_dyadic_reconstruction() {
         let a = sample(&[16, 16]);
         let t = ss_core::nonstandard::forward_to(&a);
-        let mut cs = mem_store(NonStandardTiling::new(2, 4, 2), 1024, IoStats::new());
+        let mut cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 1024, 1, IoStats::new());
         for idx in MultiIndexIter::new(&[16, 16]) {
             cs.write(&idx, t.get(&idx));
         }

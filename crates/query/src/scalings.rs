@@ -17,7 +17,7 @@ use ss_core::reconstruct::{
 };
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
 use ss_core::TilingMap;
-use ss_storage::{BlockStore, CoeffStore};
+use ss_storage::{BlockStore, SharedCoeffStore};
 
 /// Fills every redundant slot of a standard-form tiled store.
 ///
@@ -28,7 +28,7 @@ use ss_storage::{BlockStore, CoeffStore};
 /// transform and are left untouched, as is the one *true* scaling slot of
 /// the top tile (axis index 0).
 pub fn materialize_standard_scalings<S: BlockStore>(
-    cs: &mut CoeffStore<StandardTiling, S>,
+    cs: &SharedCoeffStore<StandardTiling, S>,
     n: &[u32],
 ) {
     let d = cs.map().ndim();
@@ -120,7 +120,7 @@ pub fn materialize_standard_scalings<S: BlockStore>(
 /// Fills slot 0 of every non-root tile of a non-standard-form store with
 /// the scaling coefficient of the tile's quad-tree root node.
 pub fn materialize_nonstandard_scalings<S: BlockStore>(
-    cs: &mut CoeffStore<NonStandardTiling, S>,
+    cs: &SharedCoeffStore<NonStandardTiling, S>,
     n: u32,
 ) {
     let tiles = cs.map().num_tiles();
@@ -140,17 +140,17 @@ pub fn materialize_nonstandard_scalings<S: BlockStore>(
 mod tests {
     use super::*;
     use ss_array::{MultiIndexIter, NdArray, Shape};
-    use ss_storage::{wstore::mem_store, IoStats};
+    use ss_storage::{mem_shared_store, IoStats};
 
     #[test]
     fn nonstandard_slot0_holds_node_average() {
         let a = NdArray::from_fn(Shape::cube(2, 16), |idx| (idx[0] * 16 + idx[1]) as f64);
         let t = ss_core::nonstandard::forward_to(&a);
-        let mut cs = mem_store(NonStandardTiling::new(2, 4, 2), 1024, IoStats::new());
+        let cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 1024, 1, IoStats::new());
         for idx in MultiIndexIter::new(&[16, 16]) {
             cs.write(&idx, t.get(&idx));
         }
-        materialize_nonstandard_scalings(&mut cs, 4);
+        materialize_nonstandard_scalings(&cs, 4);
         // Tile rooted at level 2, node (1,2) covers rows 4..8, cols 8..12.
         for tile in 0..cs.map().num_tiles() {
             let (j, node) = cs.map().tile_root(tile);
@@ -170,11 +170,11 @@ mod tests {
     fn standard_1d_slot0_holds_subtree_average() {
         let data: Vec<f64> = (0..64).map(|i| ((i * 5) % 13) as f64).collect();
         let t = ss_core::haar1d::forward_to_vec(&data);
-        let mut cs = mem_store(StandardTiling::new(&[6], &[2]), 1024, IoStats::new());
+        let cs = mem_shared_store(StandardTiling::new(&[6], &[2]), 1024, 1, IoStats::new());
         for i in 0..64usize {
             cs.write(&[i], t[i]);
         }
-        materialize_standard_scalings(&mut cs, &[6]);
+        materialize_standard_scalings(&cs, &[6]);
         let axis = cs.map().axes()[0].clone();
         for tile in 0..axis.num_tiles() {
             let (j, k) = axis.tile_root(tile);

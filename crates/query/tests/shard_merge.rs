@@ -11,7 +11,7 @@ use ss_array::{MultiIndexIter, NdArray, Shape};
 use ss_core::tiling::StandardTiling;
 use ss_core::{reconstruct, TilingMap};
 use ss_query::execute_plans_tiled;
-use ss_storage::wstore::{mem_store, CoeffStore};
+use ss_storage::{mem_shared_store, SharedCoeffStore};
 use ss_storage::{IoStats, MemBlockStore, ShardMap};
 
 const N: u32 = 5;
@@ -39,14 +39,15 @@ impl Mix {
     }
 }
 
-fn store() -> CoeffStore<StandardTiling, MemBlockStore> {
+fn store() -> SharedCoeffStore<StandardTiling, MemBlockStore> {
     let a = NdArray::from_fn(Shape::cube(2, SIDE), |idx| {
         ((idx[0] * 31 + idx[1] * 7) % 23) as f64 / 3.0 - 2.5
     });
     let t = ss_core::standard::forward_to(&a);
-    let mut cs = mem_store(
+    let cs = mem_shared_store(
         StandardTiling::new(&[N; 2], &[2; 2]),
         1 << 10,
+        1,
         IoStats::new(),
     );
     for idx in MultiIndexIter::new(&[SIDE, SIDE]) {

@@ -7,7 +7,7 @@
 
 use ss_array::{MultiIndexIter, NdArray, Shape};
 use ss_core::tiling::{NonStandardTiling, StandardTiling};
-use ss_storage::{wstore::mem_store, IoStats};
+use ss_storage::{mem_shared_store, IoStats};
 use std::collections::HashSet;
 
 #[test]
@@ -17,19 +17,24 @@ fn every_query_variant_records_a_distinct_span_label() {
         ((idx[0] * 5 + idx[1] * 3) % 11) as f64 - 4.0
     });
     let t = ss_core::standard::forward_to(&a);
-    let mut std_cs = mem_store(StandardTiling::new(&[4, 4], &[2, 2]), 1024, IoStats::new());
+    let mut std_cs = mem_shared_store(
+        StandardTiling::new(&[4, 4], &[2, 2]),
+        1024,
+        1,
+        IoStats::new(),
+    );
     for idx in MultiIndexIter::new(&[16, 16]) {
         std_cs.write(&idx, t.get(&idx));
     }
-    ss_query::materialize_standard_scalings(&mut std_cs, &[4, 4]);
+    ss_query::materialize_standard_scalings(&std_cs, &[4, 4]);
 
     // Non-standard-form store, also with scaling slots.
     let tn = ss_core::nonstandard::forward_to(&a);
-    let mut ns_cs = mem_store(NonStandardTiling::new(2, 4, 2), 1024, IoStats::new());
+    let mut ns_cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 1024, 1, IoStats::new());
     for idx in MultiIndexIter::new(&[16, 16]) {
         ns_cs.write(&idx, tn.get(&idx));
     }
-    ss_query::materialize_nonstandard_scalings(&mut ns_cs, 4);
+    ss_query::materialize_nonstandard_scalings(&ns_cs, 4);
 
     // Exercise every variant once.
     let _ = ss_query::point_standard(&mut std_cs, &[4, 4], &[3, 9]);

@@ -83,7 +83,7 @@ mod tests {
     use super::*;
     use ss_array::{MultiIndexIter, NdArray, Shape};
     use ss_core::tiling::StandardTiling;
-    use ss_storage::{mem_shared_store, wstore::mem_store, IoStats, SharedCoeffStore};
+    use ss_storage::{mem_shared_store, IoStats, SharedCoeffStore};
     use std::sync::Arc;
 
     fn test_data(side: usize) -> NdArray<f64> {
@@ -150,9 +150,10 @@ mod tests {
     fn serves_exact_point_and_range_answers() {
         let a = test_data(32);
         let server = bind(shared_store(&a, 5));
-        let mut serial = mem_store(
+        let mut serial = mem_shared_store(
             StandardTiling::new(&[5; 2], &[2; 2]),
             1 << 10,
+            1,
             IoStats::new(),
         );
         let t = ss_core::standard::forward_to(&a);

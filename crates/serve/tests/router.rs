@@ -8,7 +8,6 @@ use ss_core::TilingMap;
 use ss_maintain::{replay_records, FlushMode, SnapshotCoeffStore, Wal};
 use ss_query::{batch_points, batch_range_sums};
 use ss_serve::{Client, Query, QueryServer, RouterTopology, ServeConfig};
-use ss_storage::wstore::mem_store;
 use ss_storage::{mem_shared_store, IoStats, MemBlockStore, ShardMap, SharedCoeffStore};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -113,7 +112,7 @@ fn probe_ranges() -> Vec<(Vec<usize>, Vec<usize>)> {
 #[test]
 fn routed_answers_are_bit_identical_across_shard_counts() {
     let a = test_data();
-    let mut serial = mem_store(tiling(), 1 << 10, IoStats::new());
+    let mut serial = mem_shared_store(tiling(), 1 << 10, 1, IoStats::new());
     let t = ss_core::standard::forward_to(&a);
     for idx in MultiIndexIter::new(&[SIDE, SIDE]) {
         serial.write(&idx, t.get(&idx));
@@ -161,7 +160,7 @@ fn routed_answers_are_bit_identical_across_shard_counts() {
 #[test]
 fn degraded_reads_fail_over_or_refuse_but_never_return_partials() {
     let a = test_data();
-    let mut serial = mem_store(tiling(), 1 << 10, IoStats::new());
+    let mut serial = mem_shared_store(tiling(), 1 << 10, 1, IoStats::new());
     let t = ss_core::standard::forward_to(&a);
     for idx in MultiIndexIter::new(&[SIDE, SIDE]) {
         serial.write(&idx, t.get(&idx));
@@ -228,7 +227,7 @@ fn degraded_reads_fail_over_or_refuse_but_never_return_partials() {
         .unwrap()
         .unwrap();
     let want = 2.0 * {
-        let mut serial = mem_store(tiling(), 1 << 10, IoStats::new());
+        let mut serial = mem_shared_store(tiling(), 1 << 10, 1, IoStats::new());
         for idx in MultiIndexIter::new(&[SIDE, SIDE]) {
             serial.write(&idx, t.get(&idx));
         }

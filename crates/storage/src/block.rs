@@ -22,7 +22,8 @@ pub trait BlockStore {
     fn num_blocks(&self) -> usize;
 
     /// Reads block `id` into `buf` (`buf.len() == block_capacity`),
-    /// returning a typed error on failure.
+    /// returning a typed error on failure. On success every slot of `buf`
+    /// is overwritten: callers may pass a buffer holding stale data.
     ///
     /// # Panics
     ///

@@ -16,19 +16,19 @@
 //!   retries,
 //! * [`IoStats`] — shared atomic counters of block reads/writes and
 //!   coefficient accesses,
-//! * [`BufferPool`] — an LRU cache over a block store with a configurable
-//!   budget in blocks, modelling the paper's "available memory `M^d`",
-//! * [`ShardedBufferPool`] / [`SharedCoeffStore`] — the thread-safe
-//!   counterparts used by the parallel transform drivers: the block-id
-//!   space is sharded over independently locked LRU caches with per-shard
+//! * [`ShardedBufferPool`] — a write-back LRU cache over a block store
+//!   with a budget in blocks, modelling the paper's "available memory
+//!   `M^d`"; one shard is the serial cache the experiments measure, more
+//!   shards let threads share one budget with per-shard
 //!   hit/miss/eviction/write-back counters,
+//! * [`SharedCoeffStore`] — wavelet coefficients mapped onto blocks
+//!   through any [`TilingMap`](ss_core::TilingMap) (subtree tiles or the
+//!   naive row-major baseline): the one coefficient store every
+//!   out-of-core algorithm in `ss-transform`, every query in `ss-query`
+//!   and every server in `ss-serve` runs against,
 //! * [`ShardMap`] — a contiguous partition of the tile ordinal space into
 //!   shard ranges with an N-way replica count, the topology object behind
 //!   the scatter-gather query router in `ss-serve`,
-//! * [`CoeffStore`] — wavelet coefficients mapped onto blocks through any
-//!   [`TilingMap`](ss_core::TilingMap) (subtree tiles or the naive row-major
-//!   baseline), the object every out-of-core algorithm in `ss-transform`
-//!   and every query in `ss-query` runs against,
 //! * [`WsFile`] — the persistent `.ws` store format (blocks file, `.crc`
 //!   checksum sidecar, `.meta` text header — see `docs/FORMAT.md`), with
 //!   crash-safe metadata updates and a full-file scrub
@@ -67,7 +67,6 @@ pub mod error;
 pub mod fault;
 pub mod file;
 pub mod mem;
-pub mod pool;
 pub mod read;
 pub mod retry;
 pub mod shard;
@@ -76,14 +75,12 @@ pub mod sparse;
 pub mod stats;
 pub mod throttle;
 pub mod wsfile;
-pub mod wstore;
 
 pub use block::{downcast_storage_error, BlockStore};
 pub use error::{ScrubReport, StorageError};
 pub use fault::{FaultConfig, FaultInjectingBlockStore};
 pub use file::FileBlockStore;
 pub use mem::MemBlockStore;
-pub use pool::BufferPool;
 pub use read::CoeffRead;
 pub use retry::{RetryPolicy, RetryingBlockStore};
 pub use shard::{mem_shared_store, ShardCounters, ShardedBufferPool, SharedCoeffStore};
@@ -91,4 +88,3 @@ pub use shardmap::ShardMap;
 pub use stats::{IoSnapshot, IoStats};
 pub use throttle::ThrottledBlockStore;
 pub use wsfile::{convert_to_v3, Meta, V3ConvertReport, WsFile, FORMAT_VERSION, V3_FORMAT_VERSION};
-pub use wstore::CoeffStore;

@@ -2,27 +2,22 @@
 //!
 //! Every query in `ss-query` (Lemma 1 point lookups, Lemma 2 range sums,
 //! reconstruction, tile-major batches, progressive refinement) only ever
-//! *reads* coefficients. [`CoeffRead`] captures exactly that capability, so
-//! the same query code serves both the serial [`CoeffStore`] (one caller,
-//! `&mut self` cache) and the thread-safe [`SharedCoeffStore`] (many
-//! concurrent callers over a [`ShardedBufferPool`](crate::ShardedBufferPool)).
-//!
-//! The trait keeps `&mut self` receivers so the serial store implements it
-//! directly; for concurrent serving, `CoeffRead` is *also* implemented for
-//! `&SharedCoeffStore` — each worker thread holds its own `&` reference and
-//! passes `&mut (&shared)` into the query functions, the same pattern as
-//! `io::Read for &TcpStream`. No query code changes between the two.
+//! *reads* coefficients. [`CoeffRead`] captures exactly that capability.
+//! It is implemented by [`SharedCoeffStore`] itself and by
+//! `&SharedCoeffStore`, so each worker thread of a server holds its own
+//! `&` reference and passes `&mut (&shared)` into the query functions —
+//! the same pattern as `io::Read for &TcpStream` — while single-threaded
+//! callers pass `&mut store`. The snapshot layer in `ss-maintain`
+//! implements it for pinned epochs. No query code changes between them.
 
 use crate::block::BlockStore;
 use crate::shard::SharedCoeffStore;
-use crate::wstore::CoeffStore;
 use ss_core::TilingMap;
 
 /// A read-only source of wavelet coefficients laid out by a [`TilingMap`].
 ///
-/// Implemented by [`CoeffStore`] (exclusive access), [`SharedCoeffStore`]
-/// (owned), and `&SharedCoeffStore` (per-thread handle for concurrent
-/// query serving).
+/// Implemented by [`SharedCoeffStore`] (owned) and `&SharedCoeffStore`
+/// (per-thread handle for concurrent query serving).
 pub trait CoeffRead {
     /// The tiling map describing the coefficient layout.
     type Map: TilingMap;
@@ -38,22 +33,6 @@ pub trait CoeffRead {
     fn read_at(&mut self, tile: usize, slot: usize) -> f64;
 }
 
-impl<M: TilingMap, S: BlockStore> CoeffRead for CoeffStore<M, S> {
-    type Map = M;
-
-    fn map(&self) -> &M {
-        CoeffStore::map(self)
-    }
-
-    fn read(&mut self, idx: &[usize]) -> f64 {
-        CoeffStore::read(self, idx)
-    }
-
-    fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
-        CoeffStore::read_at(self, tile, slot)
-    }
-}
-
 impl<M: TilingMap, S: BlockStore> CoeffRead for SharedCoeffStore<M, S> {
     type Map = M;
 
@@ -66,8 +45,7 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for SharedCoeffStore<M, S> {
     }
 
     fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
-        self.stats().add_coeff_reads(1);
-        self.pool().read(tile, slot)
+        SharedCoeffStore::read_at(self, tile, slot)
     }
 }
 
@@ -83,8 +61,7 @@ impl<M: TilingMap, S: BlockStore> CoeffRead for &SharedCoeffStore<M, S> {
     }
 
     fn read_at(&mut self, tile: usize, slot: usize) -> f64 {
-        self.stats().add_coeff_reads(1);
-        self.pool().read(tile, slot)
+        SharedCoeffStore::read_at(self, tile, slot)
     }
 }
 
@@ -93,7 +70,6 @@ mod tests {
     use super::*;
     use crate::shard::mem_shared_store;
     use crate::stats::IoStats;
-    use crate::wstore::mem_store;
     use ss_core::Tiling1d;
 
     fn sum_first<C: CoeffRead>(cs: &mut C, n: usize) -> f64 {
@@ -101,15 +77,13 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_shared_agree_through_the_trait() {
-        let mut serial = mem_store(Tiling1d::new(4, 2), 8, IoStats::new());
-        let shared = mem_shared_store(Tiling1d::new(4, 2), 8, 4, IoStats::new());
+    fn owned_and_borrowed_stores_agree_through_the_trait() {
+        let mut shared = mem_shared_store(Tiling1d::new(4, 2), 8, 4, IoStats::new());
         for i in 0..16usize {
-            serial.write(&[i], (i * 7) as f64);
             shared.write(&[i], (i * 7) as f64);
         }
-        let a = sum_first(&mut serial, 16);
         let b = sum_first(&mut { &shared }, 16);
+        let a = sum_first(&mut shared, 16);
         assert_eq!(a, b);
     }
 
@@ -140,7 +114,7 @@ mod tests {
         stats.reset();
         let loc = TilingMap::locate(shared.map(), &[0]);
         let mut handle = &shared;
-        assert_eq!(handle.read_at(loc.tile, loc.slot), 2.5);
+        assert_eq!(CoeffRead::read_at(&mut handle, loc.tile, loc.slot), 2.5);
         assert_eq!(stats.snapshot().coeff_reads, 1);
     }
 }

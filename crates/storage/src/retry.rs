@@ -286,7 +286,6 @@ mod tests {
 
     #[test]
     fn persistent_errors_skip_the_retry_budget() {
-        let before = ss_obs::global().counter("storage.retries").get();
         // A v1-style read-only inner: writes fail persistently.
         struct ReadOnly(MemBlockStore);
         impl BlockStore for ReadOnly {
@@ -308,13 +307,16 @@ mod tests {
         }
         let inner = ReadOnly(MemBlockStore::new(4, 2, IoStats::new()));
         let mut s = RetryingBlockStore::new(inner, fast_policy(5));
+        // Count this store's retries on a private registry: other tests
+        // spend retries on the global one concurrently.
+        s.retries = ss_obs::Registry::new().counter("storage.retries");
         assert!(matches!(
             s.try_write_block(0, &[0.0; 4]),
             Err(StorageError::ReadOnly)
         ));
         assert_eq!(
-            ss_obs::global().counter("storage.retries").get(),
-            before,
+            s.retries.get(),
+            0,
             "no retry may be spent on a persistent error"
         );
     }

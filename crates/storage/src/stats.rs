@@ -35,11 +35,14 @@ pub struct IoSnapshot {
     pub block_reads: u64,
     /// Blocks written to the underlying store.
     pub block_writes: u64,
-    /// Individual coefficients read through a [`CoeffStore`](crate::CoeffStore).
+    /// Individual coefficients read through a
+    /// [`SharedCoeffStore`](crate::SharedCoeffStore).
     pub coeff_reads: u64,
-    /// Individual coefficients written/updated through a `CoeffStore`.
+    /// Individual coefficients written/updated through a `SharedCoeffStore`.
     pub coeff_writes: u64,
-    /// Buffer-pool accesses served from a cached frame.
+    /// Buffer-pool tile accesses served from a cached frame: one per
+    /// single-coefficient read or write, one per tile of a tile-batched
+    /// apply (see [`ShardedBufferPool`](crate::ShardedBufferPool)).
     pub pool_hits: u64,
     /// Buffer-pool accesses that had to read the backing store.
     pub pool_misses: u64,

@@ -27,7 +27,7 @@
 
 use crate::error::{ScrubReport, StorageError};
 use crate::file::sidecar_path;
-use crate::{BlockStore, CoeffStore, FileBlockStore, IoStats};
+use crate::{BlockStore, FileBlockStore, IoStats, SharedCoeffStore};
 use ss_core::sparse::{RetentionPolicy, RetentionReport};
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
@@ -204,14 +204,19 @@ fn atomic_write(path: &Path, text: &str) -> Result<(), StorageError> {
 pub struct WsFile {
     /// Store geometry.
     pub meta: Meta,
-    /// The tiled coefficient store over the blocks file.
-    pub store: CoeffStore<StandardTiling, FileBlockStore>,
+    /// The tiled coefficient store over the blocks file: a one-shard
+    /// pool of [`WsFile::POOL_BLOCKS`] blocks. Callers that drive it from
+    /// several threads [`rehouse`](SharedCoeffStore::rehouse) it first.
+    pub store: SharedCoeffStore<StandardTiling, FileBlockStore>,
     /// Shared I/O counters (also threaded through `store`).
     pub stats: IoStats,
     path: PathBuf,
 }
 
 impl WsFile {
+    /// Buffer-pool budget of [`WsFile::store`], in blocks.
+    pub const POOL_BLOCKS: usize = 1 << 10;
+
     /// Creates a fresh, zeroed store (truncates existing files). The
     /// store is always written at the current [`FORMAT_VERSION`],
     /// whatever `meta.version` says.
@@ -222,12 +227,7 @@ impl WsFile {
         let blocks =
             FileBlockStore::create(path, map.block_capacity(), map.num_tiles(), stats.clone())?;
         atomic_write(&meta_path(path), &meta.to_text())?;
-        Ok(WsFile {
-            store: CoeffStore::new(map, blocks, 1 << 10, stats.clone()),
-            meta,
-            stats,
-            path: path.to_path_buf(),
-        })
+        Ok(WsFile::from_parts(meta, map, blocks, stats, path))
     }
 
     /// Creates a fresh, zeroed **sparse v3** store (truncates existing
@@ -240,12 +240,7 @@ impl WsFile {
         let blocks =
             FileBlockStore::create_v3(path, map.block_capacity(), map.num_tiles(), stats.clone())?;
         atomic_write(&meta_path(path), &meta.to_text())?;
-        Ok(WsFile {
-            store: CoeffStore::new(map, blocks, 1 << 10, stats.clone()),
-            meta,
-            stats,
-            path: path.to_path_buf(),
-        })
+        Ok(WsFile::from_parts(meta, map, blocks, stats, path))
     }
 
     /// Opens an existing store. Current (v2) and sparse (v3) stores open
@@ -268,16 +263,11 @@ impl WsFile {
                 FileBlockStore::open_v1(path, map.block_capacity(), map.num_tiles(), stats.clone())?
             }
         };
-        Ok(WsFile {
-            store: CoeffStore::new(map, blocks, 1 << 10, stats.clone()),
-            meta,
-            stats,
-            path: path.to_path_buf(),
-        })
+        Ok(WsFile::from_parts(meta, map, blocks, stats, path))
     }
 
-    /// Assembles a `WsFile` from already-opened parts (used by the CLI when
-    /// it needs the block store bound to a caller-provided `IoStats`).
+    /// Assembles a `WsFile` from already-opened parts (the block store
+    /// bound to `stats`).
     pub fn from_parts(
         meta: Meta,
         map: StandardTiling,
@@ -286,7 +276,7 @@ impl WsFile {
         path: &Path,
     ) -> WsFile {
         WsFile {
-            store: CoeffStore::new(map, blocks, 1 << 10, stats.clone()),
+            store: SharedCoeffStore::new(map, blocks, WsFile::POOL_BLOCKS, 1, stats.clone()),
             meta,
             stats,
             path: path.to_path_buf(),
@@ -315,14 +305,14 @@ impl WsFile {
         if !self.read_only() {
             self.store.flush();
         }
-        self.store.pool().store_mut().scrub()
+        self.store.store_mut().scrub()
     }
 
     /// Flushes dirty cached blocks and fsyncs the blocks file and
     /// checksum sidecar to stable storage.
     pub fn sync(&mut self) -> Result<(), StorageError> {
         self.store.flush();
-        self.store.pool().store_mut().sync()
+        self.store.sync()
     }
 
     /// The blocks-file path.
@@ -475,7 +465,7 @@ mod tests {
         let path = tmp("corrupt_header");
         let meta = Meta::new(vec![3, 3], vec![1, 1], 0, 1);
         {
-            let mut ws = WsFile::create(&path, meta).unwrap();
+            let ws = WsFile::create(&path, meta).unwrap();
             ws.store.write(&[1, 2], 5.0);
             ws.store.flush();
         }
@@ -498,7 +488,7 @@ mod tests {
         let path = tmp("truncated");
         let meta = Meta::new(vec![3, 3], vec![1, 1], 0, 1);
         {
-            let mut ws = WsFile::create(&path, meta).unwrap();
+            let ws = WsFile::create(&path, meta).unwrap();
             ws.store.write(&[1, 1], 3.0);
             ws.store.flush();
         }
@@ -530,12 +520,12 @@ mod tests {
         let path = tmp("roundtrip");
         let meta = Meta::new(vec![3, 3], vec![1, 1], 8, 1);
         {
-            let mut ws = WsFile::create(&path, meta.clone()).unwrap();
+            let ws = WsFile::create(&path, meta.clone()).unwrap();
             ws.store.write(&[2, 5], 42.5);
             ws.store.flush();
         }
         {
-            let mut ws = WsFile::open(&path).unwrap();
+            let ws = WsFile::open(&path).unwrap();
             assert_eq!(ws.meta, meta);
             assert!(!ws.read_only());
             assert_eq!(ws.store.read(&[2, 5]), 42.5);
@@ -596,7 +586,7 @@ mod tests {
         let path = tmp("v3roundtrip");
         let meta = Meta::new(vec![3, 3], vec![1, 1], 8, 1);
         {
-            let mut ws = WsFile::create_v3(&path, meta.clone()).unwrap();
+            let ws = WsFile::create_v3(&path, meta.clone()).unwrap();
             assert!(ws.sparse());
             assert_eq!(ws.meta.version, V3_FORMAT_VERSION);
             ws.store.write(&[2, 5], 42.5);
@@ -618,7 +608,7 @@ mod tests {
         let meta = Meta::new(vec![3, 3], vec![1, 1], 8, 1);
         let mut dense_image = Vec::new();
         {
-            let mut ws = WsFile::create(&path, meta).unwrap();
+            let ws = WsFile::create(&path, meta).unwrap();
             ws.store.write(&[2, 5], 42.5);
             ws.store.write(&[7, 7], -1e-12);
             ws.store.flush();
@@ -652,7 +642,7 @@ mod tests {
         let path = tmp("v3lossy");
         let meta = Meta::new(vec![2, 2], vec![1, 1], 4, 1);
         {
-            let mut ws = WsFile::create(&path, meta).unwrap();
+            let ws = WsFile::create(&path, meta).unwrap();
             ws.store.write(&[1, 1], 8.0);
             ws.store.write(&[3, 3], 0.25);
             ws.store.flush();
@@ -685,6 +675,74 @@ mod tests {
         ws.meta.filled = 2;
         ws.save_meta().unwrap();
         assert_eq!(WsFile::open(&path).unwrap().meta.filled, 2);
+        cleanup(&path);
+    }
+
+    fn typed_failure<R>(f: impl FnOnce() -> R) -> StorageError {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .err()
+            .expect("access must fail");
+        crate::block::downcast_storage_error(payload)
+    }
+
+    #[test]
+    fn corrupt_tile_fails_typed_and_leaves_healthy_tiles_readable() {
+        // 4x4 domain in 2x2 tiles: tile 0 holds [0,0], tile 3 holds [2,2].
+        let path = tmp("corrupt_tile");
+        let meta = Meta::new(vec![2, 2], vec![1, 1], 4, 1);
+        let mut ws = WsFile::create(&path, meta).unwrap();
+        ws.store.write(&[0, 0], 1.5);
+        ws.store.write(&[2, 2], 2.5);
+        ws.sync().unwrap();
+        assert_eq!(ws.store.map().locate(&[0, 0]).tile, 0);
+        drop(ws);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[3] ^= 0x01; // inside block 0
+        std::fs::write(&path, &bytes).unwrap();
+
+        let ws = WsFile::open(&path).unwrap();
+        let err = typed_failure(|| ws.store.read(&[0, 0]));
+        assert!(
+            matches!(err, StorageError::Checksum { block: 0, .. }),
+            "{err}"
+        );
+        assert_eq!(ws.store.read(&[2, 2]), 2.5, "healthy tile after a fault");
+        let err = typed_failure(|| ws.store.read(&[0, 0]));
+        assert!(
+            matches!(err, StorageError::Checksum { block: 0, .. }),
+            "{err}"
+        );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn failed_write_back_leaves_the_store_usable() {
+        use crate::{FaultConfig, FaultInjectingBlockStore};
+        let path = tmp("failed_writeback");
+        let meta = Meta::new(vec![2, 2], vec![1, 1], 4, 1);
+        let mut ws = WsFile::create(&path, meta).unwrap();
+        ws.store.write(&[2, 2], 2.5);
+        ws.sync().unwrap();
+        let faults = FaultConfig {
+            write_error_rate: 1.0,
+            ..FaultConfig::default()
+        };
+        let cs = ws
+            .store
+            .rehouse(1, |blocks| FaultInjectingBlockStore::new(blocks, faults));
+        cs.write(&[0, 0], 1.5);
+        let err = typed_failure(|| cs.flush());
+        assert!(
+            matches!(err, StorageError::Injected { op: "write", .. }),
+            "{err}"
+        );
+        assert_eq!(cs.read(&[2, 2]), 2.5, "healthy tile after a fault");
+        cs.write(&[0, 1], 3.0);
+        let err = typed_failure(|| cs.flush());
+        assert!(
+            matches!(err, StorageError::Injected { op: "write", .. }),
+            "{err}"
+        );
         cleanup(&path);
     }
 }

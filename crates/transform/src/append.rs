@@ -14,14 +14,14 @@
 use ss_array::NdArray;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
-use ss_storage::{BlockStore, CoeffStore, IoStats};
+use ss_storage::{BlockStore, IoStats, SharedCoeffStore};
 
 /// Maintains a standard-form transform under appends along one axis.
 ///
 /// The block-store lifecycle is delegated to a factory because expansion
 /// needs a fresh, larger store (e.g. a new file) to migrate into.
 pub struct Appender<S: BlockStore, F: FnMut(usize, usize) -> S> {
-    cs: CoeffStore<StandardTiling, S>,
+    cs: SharedCoeffStore<StandardTiling, S>,
     levels: Vec<u32>,
     tile_exp: Vec<u32>,
     axis: usize,
@@ -52,7 +52,7 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
         assert!(axis < levels.len());
         let map = StandardTiling::new(levels, tile_exp);
         let store = factory(map.block_capacity(), map.num_tiles());
-        let cs = CoeffStore::new(map, store, pool_budget, stats.clone());
+        let cs = SharedCoeffStore::new(map, store, pool_budget, 1, stats.clone());
         Appender {
             cs,
             levels: levels.to_vec(),
@@ -82,7 +82,7 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
     }
 
     /// The underlying coefficient store.
-    pub fn store(&mut self) -> &mut CoeffStore<StandardTiling, S> {
+    pub fn store(&mut self) -> &mut SharedCoeffStore<StandardTiling, S> {
         &mut self.cs
     }
 
@@ -140,7 +140,8 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
         self.levels[self.axis] += 1;
         let new_map = StandardTiling::new(&self.levels, &self.tile_exp);
         let new_store = (self.factory)(new_map.block_capacity(), new_map.num_tiles());
-        let mut new_cs = CoeffStore::new(new_map, new_store, self.pool_budget, self.stats.clone());
+        let new_cs =
+            SharedCoeffStore::new(new_map, new_store, self.pool_budget, 1, self.stats.clone());
 
         let n_axis = old_levels[self.axis];
         // Migrate tile by tile: every old tile is read exactly once, and
@@ -176,12 +177,7 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> Appender<S, F> {
                 }
             }
             // Apply this old tile's deltas grouped by destination tile.
-            batch.sort_unstable_by_key(|&(tile, slot, _)| (tile, slot));
-            for &(tile, slot, delta) in &batch {
-                self.stats.add_coeff_writes(1);
-                new_cs.pool().add(tile, slot, delta);
-            }
-            batch.clear();
+            new_cs.apply_batch(&mut batch);
         }
         new_cs.flush();
         self.cs = new_cs;

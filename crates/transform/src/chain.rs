@@ -19,14 +19,14 @@
 use ss_array::{MultiIndexIter, NdArray};
 use ss_core::tiling::NonStandardTiling;
 use ss_core::{Layout1d, TilingMap};
-use ss_storage::{BlockStore, CoeffStore, IoStats};
+use ss_storage::{BlockStore, IoStats, SharedCoeffStore};
 
 /// A growing chain of non-standard-transformed hypercubes.
 pub struct NsChainStore<S: BlockStore, F: FnMut(usize, usize) -> S> {
     d: usize,
     n: u32,
     tiling: NonStandardTiling,
-    cubes: Vec<CoeffStore<NonStandardTiling, S>>,
+    cubes: Vec<SharedCoeffStore<NonStandardTiling, S>>,
     /// Wavelet transform of the cube-averages series (padded to the next
     /// power of two; `taus` of them are live).
     avg_tree: Vec<f64>,
@@ -84,10 +84,11 @@ impl<S: BlockStore, F: FnMut(usize, usize) -> S> NsChainStore<S, F> {
         ss_core::nonstandard::forward(&mut t);
         // New per-cube store; its tiles are private to this cube forever.
         let store = (self.factory)(self.tiling.block_capacity(), self.tiling.num_tiles());
-        let mut cs = CoeffStore::new(
+        let cs = SharedCoeffStore::new(
             self.tiling.clone(),
             store,
             self.pool_budget,
+            1,
             self.stats.clone(),
         );
         let mut avg = 0.0;

@@ -3,28 +3,38 @@
 //!
 //! Each chunk is small enough to transform in memory; its detail
 //! coefficients SHIFT to final positions and its average SPLITs into
-//! updates of coarser coefficients. The standard-form driver
-//! ([`transform_standard`]) and the plain non-standard driver
-//! ([`transform_nonstandard`]) fold every delta straight into tiled
-//! storage. The z-order driver ([`transform_nonstandard_zorder`]) adds the
-//! *crest cache* of Result 2: split contributions accumulate in a small
-//! in-memory map and are written exactly once, when the z-order walk
-//! completes the quad-tree node they belong to — bounding both extra memory
-//! (`(2^d − 1)·log(N/M) + 1` entries) and I/O (`O(N^d/B^d)` blocks total).
+//! updates of coarser coefficients. Every driver runs through one of the
+//! two chunk-loop bodies in [`par`](crate::par), which take a worker
+//! count: [`transform_standard_parallel`](crate::transform_standard_parallel)
+//! (Result 1) and
+//! [`transform_nonstandard_parallel`](crate::transform_nonstandard_parallel)
+//! (Result 2: the z-order schedule with the *crest cache* — split
+//! contributions accumulate in a small in-memory map and are written
+//! exactly once, when the z-order walk completes the quad-tree node they
+//! belong to, bounding both extra memory (`(2^d − 1)·log(N/M) + 1`
+//! entries) and I/O (`O(N^d/B^d)` blocks total)). With one worker and a
+//! one-shard store they run the serial algorithm whose block counts the
+//! experiments report.
+//!
+//! The single-threaded variants the ablation measures keep their own
+//! names here and run through the same bodies: [`transform_standard`]
+//! (optionally with a cold cache per chunk), [`transform_standard_sparse`]
+//! (all-zero chunks skipped) and [`transform_nonstandard`] (row-major
+//! schedule, no crest cache). [`transform_nonstandard_zorder_scalings`]
+//! additionally fills the tiles' redundant scaling slots during the pass.
 
+use crate::par::{drive_nonstandard, drive_standard, node_details, Variant};
 use crate::source::ChunkSource;
 use ss_array::{MortonIter, MultiIndexIter};
 use ss_core::TilingMap;
 use ss_obs::{Histogram, Stopwatch};
-use ss_storage::{BlockStore, CoeffStore, IoStats};
+use ss_storage::{BlockStore, IoStats, SharedCoeffStore};
 use std::collections::HashMap;
 
 /// Global-registry histograms attributing per-chunk ingest time to its
 /// three phases: reading the chunk from the source, the in-memory
 /// transform plus SHIFT-SPLIT delta generation, and folding the deltas
-/// into tiled storage. One sample per chunk per phase; shared by the
-/// serial drivers here and the parallel drivers in
-/// [`par`](crate::transform_standard_parallel).
+/// into tiled storage. One sample per chunk per phase.
 pub(crate) struct PhaseHists {
     pub read: Histogram,
     pub compute: Histogram,
@@ -60,24 +70,23 @@ pub(crate) fn charge_input(stats: &IoStats, cells: usize, block_capacity: usize)
     stats.add_block_reads(cells.div_ceil(block_capacity) as u64);
 }
 
-/// Applies one chunk's delta batch tile-by-tile: deltas are sorted by tile
-/// ordinal so each affected tile is loaded at most once per chunk even with
-/// a single-block buffer pool — the access discipline the paper's per-chunk
-/// I/O analysis assumes.
-fn apply_sorted<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
-    deltas: &mut Vec<(usize, usize, f64)>,
-) {
-    deltas.sort_unstable_by_key(|&(tile, slot, _)| (tile, slot));
-    let stats = cs.stats().clone();
-    for &(tile, slot, delta) in deltas.iter() {
-        stats.add_coeff_writes(1);
-        cs.pool().add(tile, slot, delta);
+impl TransformReport {
+    /// Combines per-worker reports: chunk and input counts add, the crest
+    /// peak is the maximum over workers.
+    pub(crate) fn combine(reports: Vec<TransformReport>) -> TransformReport {
+        reports
+            .into_iter()
+            .fold(TransformReport::default(), |acc, r| TransformReport {
+                chunks: acc.chunks + r.chunks,
+                input_coeffs: acc.input_coeffs + r.input_coeffs,
+                peak_crest_cache: acc.peak_crest_cache.max(r.peak_crest_cache),
+            })
     }
-    deltas.clear();
 }
 
-/// **Result 1** — standard-form out-of-core transform.
+/// **Result 1** — standard-form out-of-core transform on one thread:
+/// [`transform_standard_parallel`](crate::transform_standard_parallel)
+/// with one worker.
 ///
 /// Iterates the chunk grid in row-major order; per chunk: in-memory
 /// standard transform, then the full SHIFT-SPLIT delta stream folded into
@@ -87,41 +96,16 @@ fn apply_sorted<M: TilingMap, S: BlockStore>(
 /// `cold_cache_per_chunk` clears the store's buffer pool between chunks so
 /// the measured I/O matches the paper's per-chunk analysis exactly (no
 /// cross-chunk tile reuse).
-pub fn transform_standard<M: TilingMap, S: BlockStore>(
-    src: &impl ChunkSource,
-    cs: &mut CoeffStore<M, S>,
+pub fn transform_standard<M: TilingMap, S: BlockStore + Send + Sync>(
+    src: &(impl ChunkSource + Sync),
+    cs: &SharedCoeffStore<M, S>,
     cold_cache_per_chunk: bool,
 ) -> TransformReport {
-    let n = src.domain_levels().to_vec();
-    let mut report = TransformReport::default();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let phases = PhaseHists::resolve();
-    let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-    for block in MultiIndexIter::new(&src.grid()) {
-        let mut sw = Stopwatch::start();
-        let mut chunk = src.read_chunk(&block);
-        charge_input(&stats, chunk.len(), block_capacity);
-        phases.read.record(sw.lap_ns());
-        ss_core::standard::forward(&mut chunk);
-        {
-            let map = cs.map();
-            ss_core::split::standard_deltas(&chunk, &n, &block, |idx, delta| {
-                let loc = map.locate(idx);
-                batch.push((loc.tile, loc.slot, delta));
-            });
-        }
-        phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
-        phases.writeback.record(sw.lap_ns());
-        if cold_cache_per_chunk {
-            cs.clear_cache();
-        }
-        report.chunks += 1;
-        report.input_coeffs += chunk.len() as u64;
-    }
-    cs.flush();
-    report
+    let variant = Variant {
+        cold_cache_per_chunk,
+        ..Variant::default()
+    };
+    drive_standard(src, cs, 1, variant)
 }
 
 /// Sparse variant of [`transform_standard`] (Section 5.1 discusses data
@@ -129,166 +113,40 @@ pub fn transform_standard<M: TilingMap, S: BlockStore>(
 /// chunk-organised sparse store they are simply absent, so neither their
 /// input scan nor any output work is charged. I/O becomes proportional to
 /// the number of *occupied* chunks rather than the domain volume.
-pub fn transform_standard_sparse<M: TilingMap, S: BlockStore>(
-    src: &impl ChunkSource,
-    cs: &mut CoeffStore<M, S>,
+pub fn transform_standard_sparse<M: TilingMap, S: BlockStore + Send + Sync>(
+    src: &(impl ChunkSource + Sync),
+    cs: &SharedCoeffStore<M, S>,
 ) -> TransformReport {
-    let n = src.domain_levels().to_vec();
-    let mut report = TransformReport::default();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let phases = PhaseHists::resolve();
-    let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-    for block in MultiIndexIter::new(&src.grid()) {
-        let mut sw = Stopwatch::start();
-        let mut chunk = src.read_chunk(&block);
-        if chunk.as_slice().iter().all(|&v| v == 0.0) {
-            continue; // absent in a sparse chunk directory: zero I/O
-        }
-        charge_input(&stats, chunk.len(), block_capacity);
-        phases.read.record(sw.lap_ns());
-        ss_core::standard::forward(&mut chunk);
-        {
-            let map = cs.map();
-            ss_core::split::standard_deltas(&chunk, &n, &block, |idx, delta| {
-                let loc = map.locate(idx);
-                batch.push((loc.tile, loc.slot, delta));
-            });
-        }
-        phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
-        phases.writeback.record(sw.lap_ns());
-        report.chunks += 1;
-        report.input_coeffs += chunk.len() as u64;
-    }
-    cs.flush();
-    report
+    let variant = Variant {
+        skip_zero_chunks: true,
+        ..Variant::default()
+    };
+    drive_standard(src, cs, 1, variant)
 }
 
-/// Non-standard out-of-core transform with a **row-major** chunk schedule:
-/// every split contribution is folded into storage immediately, costing
-/// `O(N^d/B^d + chunks · (2^d − 1) · log_B(N/M))` blocks.
-pub fn transform_nonstandard<M: TilingMap, S: BlockStore>(
-    src: &impl ChunkSource,
-    cs: &mut CoeffStore<M, S>,
+/// Non-standard out-of-core transform with a **row-major** chunk schedule
+/// on one thread: every split contribution is folded into storage
+/// immediately (no crest cache), costing
+/// `O(N^d/B^d + chunks · (2^d − 1) · log_B(N/M))` blocks. The ablation
+/// baseline for the z-order schedule of
+/// [`transform_nonstandard_parallel`](crate::transform_nonstandard_parallel).
+pub fn transform_nonstandard<M: TilingMap, S: BlockStore + Send + Sync>(
+    src: &(impl ChunkSource + Sync),
+    cs: &SharedCoeffStore<M, S>,
     cold_cache_per_chunk: bool,
 ) -> TransformReport {
-    let (n, _m) = cubic_levels(src);
-    let mut report = TransformReport::default();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let phases = PhaseHists::resolve();
-    let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-    for block in MultiIndexIter::new(&src.grid()) {
-        let mut sw = Stopwatch::start();
-        let mut chunk = src.read_chunk(&block);
-        charge_input(&stats, chunk.len(), block_capacity);
-        phases.read.record(sw.lap_ns());
-        ss_core::nonstandard::forward(&mut chunk);
-        {
-            let map = cs.map();
-            ss_core::split::nonstandard_deltas(&chunk, n, &block, |idx, delta| {
-                let loc = map.locate(idx);
-                batch.push((loc.tile, loc.slot, delta));
-            });
-        }
-        phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
-        phases.writeback.record(sw.lap_ns());
-        if cold_cache_per_chunk {
-            cs.clear_cache();
-        }
-        report.chunks += 1;
-        report.input_coeffs += chunk.len() as u64;
-    }
-    cs.flush();
-    report
+    let variant = Variant {
+        cold_cache_per_chunk,
+        row_major: true,
+        ..Variant::default()
+    };
+    drive_nonstandard(src, cs, 1, variant)
 }
 
-/// **Result 2** — non-standard out-of-core transform with the z-order
-/// schedule and crest cache: optimal `O(N^d/B^d)` block I/O using
-/// `(2^d − 1)·log(N/M) + 1` extra memory.
-///
-/// Split contributions never touch the store while "hot": they accumulate
-/// in an in-memory map keyed by coefficient index, and a quad-tree node's
-/// `2^d − 1` coefficients are flushed (written once) the moment the z-order
-/// walk leaves its subtree.
-pub fn transform_nonstandard_zorder<M: TilingMap, S: BlockStore>(
-    src: &impl ChunkSource,
-    cs: &mut CoeffStore<M, S>,
-) -> TransformReport {
-    let (n, m) = cubic_levels(src);
-    let d = src.domain_levels().len();
-    let grid_bits = n - m;
-    let mut report = TransformReport::default();
-    let stats = cs.stats().clone();
-    let block_capacity = cs.map().block_capacity();
-    let phases = PhaseHists::resolve();
-    let mut crest: HashMap<Vec<usize>, f64> = HashMap::new();
-    let mut batch: Vec<(usize, usize, f64)> = Vec::new();
-    for (rank, block) in MortonIter::new(d, grid_bits).enumerate() {
-        let mut sw = Stopwatch::start();
-        let mut chunk = src.read_chunk(&block);
-        charge_input(&stats, chunk.len(), block_capacity);
-        phases.read.record(sw.lap_ns());
-        ss_core::nonstandard::forward(&mut chunk);
-        {
-            let map = cs.map();
-            ss_core::split::nonstandard_deltas(&chunk, n, &block, |idx, delta| {
-                // Shifted details land at levels ≤ m; split contributions at
-                // levels > m (or the overall average) go to the crest cache.
-                if is_split_target(n, m, idx) {
-                    *crest.entry(idx.to_vec()).or_insert(0.0) += delta;
-                } else {
-                    let loc = map.locate(idx);
-                    batch.push((loc.tile, loc.slot, delta));
-                }
-            });
-        }
-        phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
-        report.peak_crest_cache = report.peak_crest_cache.max(crest.len());
-        // Flush every quad-tree node whose subtree the z-order walk just
-        // completed: after chunk `rank`, level m+s is complete when
-        // (rank+1) is a multiple of 2^{d·s}.
-        for s in 1..=grid_bits {
-            if (rank + 1) % (1usize << (d as u32 * s)) != 0 {
-                break;
-            }
-            let node: Vec<usize> = block.iter().map(|&bq| bq >> s).collect();
-            for eps in 1usize..(1usize << d) {
-                let subband: Vec<bool> = (0..d).map(|t| (eps >> (d - 1 - t)) & 1 == 1).collect();
-                let idx = ss_core::nonstandard::index_of(
-                    n,
-                    &ss_core::nonstandard::NsCoeff::Detail {
-                        level: m + s,
-                        node: node.clone(),
-                        subband,
-                    },
-                );
-                if let Some(v) = crest.remove(&idx) {
-                    cs.add(&idx, v);
-                }
-            }
-        }
-        phases.writeback.record(sw.lap_ns());
-        report.chunks += 1;
-        report.input_coeffs += chunk.len() as u64;
-    }
-    // The overall average (and, if the walk was trivial, any leftovers).
-    let mut leftovers: Vec<(Vec<usize>, f64)> = crest.drain().collect();
-    leftovers.sort_by(|a, b| a.0.cmp(&b.0));
-    for (idx, v) in leftovers {
-        cs.add(&idx, v);
-    }
-    cs.flush();
-    report
-}
-
-/// Like [`transform_nonstandard_zorder`], but additionally fills every
-/// tile's redundant scaling slot **during the pass**, leaving the store
-/// immediately ready for the single-block fast-path queries of
-/// `ss-query` — no
+/// Like [`transform_nonstandard_parallel`](crate::transform_nonstandard_parallel)
+/// on one worker, but additionally fills every tile's redundant scaling
+/// slot **during the pass**, leaving the store immediately ready for the
+/// single-block fast-path queries of `ss-query` — no
 /// `materialize_nonstandard_scalings` post-pass (and none of its
 /// `O(tiles · 2^d · log N)` coefficient reads).
 ///
@@ -297,7 +155,7 @@ pub fn transform_nonstandard_zorder<M: TilingMap, S: BlockStore>(
 /// base-`2^d` carry accumulator that drives the crest flush.
 pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
     src: &impl ChunkSource,
-    cs: &mut CoeffStore<ss_core::tiling::NonStandardTiling, S>,
+    cs: &SharedCoeffStore<ss_core::tiling::NonStandardTiling, S>,
 ) -> TransformReport {
     let (n, m) = cubic_levels(src);
     let d = src.domain_levels().len();
@@ -367,16 +225,7 @@ pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
                 }
             }
             // Flush the node's completed detail coefficients from the crest.
-            for eps in 1usize..(1usize << d) {
-                let subband: Vec<bool> = (0..d).map(|t| (eps >> (d - 1 - t)) & 1 == 1).collect();
-                let idx = ss_core::nonstandard::index_of(
-                    n,
-                    &ss_core::nonstandard::NsCoeff::Detail {
-                        level: m + s,
-                        node: node.clone(),
-                        subband,
-                    },
-                );
+            for idx in node_details(n, m + s, &node) {
                 if let Some(v) = crest.remove(&idx) {
                     let loc = cs.map().locate(&idx);
                     batch.push((loc.tile, loc.slot, v));
@@ -385,7 +234,7 @@ pub fn transform_nonstandard_zorder_scalings<S: BlockStore>(
             carry = node_avg;
         }
         phases.compute.record(sw.lap_ns());
-        apply_sorted(cs, &mut batch);
+        cs.apply_batch(&mut batch);
         phases.writeback.record(sw.lap_ns());
         report.peak_crest_cache = report.peak_crest_cache.max(crest.len());
         report.chunks += 1;
@@ -445,10 +294,11 @@ pub(crate) fn cubic_levels(src: &impl ChunkSource) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::transform_nonstandard_parallel;
     use crate::source::ArraySource;
     use ss_array::{NdArray, Shape};
     use ss_core::tiling::{NonStandardTiling, StandardTiling};
-    use ss_storage::wstore::mem_store;
+    use ss_storage::mem_shared_store;
 
     fn sample(dims: &[usize]) -> NdArray<f64> {
         NdArray::from_fn(Shape::new(dims), |idx| {
@@ -461,7 +311,7 @@ mod tests {
     }
 
     fn read_all<M: TilingMap, S: BlockStore>(
-        cs: &mut CoeffStore<M, S>,
+        cs: &mut SharedCoeffStore<M, S>,
         dims: &[usize],
     ) -> NdArray<f64> {
         NdArray::from_fn(Shape::new(dims), |idx| cs.read(idx))
@@ -471,8 +321,8 @@ mod tests {
     fn standard_chunked_matches_direct() {
         let a = sample(&[16, 16]);
         let src = ArraySource::new(&a, &[2, 2]);
-        let mut cs = mem_store(StandardTiling::cube(2, 4, 2), 256, IoStats::new());
-        let report = transform_standard(&src, &mut cs, false);
+        let mut cs = mem_shared_store(StandardTiling::cube(2, 4, 2), 256, 1, IoStats::new());
+        let report = transform_standard(&src, &cs, false);
         assert_eq!(report.chunks, 16);
         let got = read_all(&mut cs, &[16, 16]);
         let want = ss_core::standard::forward_to(&a);
@@ -483,8 +333,13 @@ mod tests {
     fn standard_chunked_rectangular() {
         let a = sample(&[8, 32]);
         let src = ArraySource::new(&a, &[2, 3]);
-        let mut cs = mem_store(StandardTiling::new(&[3, 5], &[1, 2]), 256, IoStats::new());
-        transform_standard(&src, &mut cs, true);
+        let mut cs = mem_shared_store(
+            StandardTiling::new(&[3, 5], &[1, 2]),
+            256,
+            1,
+            IoStats::new(),
+        );
+        transform_standard(&src, &cs, true);
         let got = read_all(&mut cs, &[8, 32]);
         let want = ss_core::standard::forward_to(&a);
         assert!(got.max_abs_diff(&want) < 1e-9);
@@ -494,8 +349,8 @@ mod tests {
     fn nonstandard_chunked_matches_direct() {
         let a = sample(&[16, 16]);
         let src = ArraySource::new(&a, &[2, 2]);
-        let mut cs = mem_store(NonStandardTiling::new(2, 4, 2), 256, IoStats::new());
-        transform_nonstandard(&src, &mut cs, false);
+        let mut cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 256, 1, IoStats::new());
+        transform_nonstandard(&src, &cs, false);
         let got = read_all(&mut cs, &[16, 16]);
         let want = ss_core::nonstandard::forward_to(&a);
         assert!(got.max_abs_diff(&want) < 1e-9);
@@ -505,8 +360,8 @@ mod tests {
     fn zorder_matches_direct_and_bounds_crest() {
         let a = sample(&[16, 16]);
         let src = ArraySource::new(&a, &[1, 1]);
-        let mut cs = mem_store(NonStandardTiling::new(2, 4, 2), 256, IoStats::new());
-        let report = transform_nonstandard_zorder(&src, &mut cs);
+        let mut cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 256, 1, IoStats::new());
+        let report = transform_nonstandard_parallel(&src, &cs, 1);
         let got = read_all(&mut cs, &[16, 16]);
         let want = ss_core::nonstandard::forward_to(&a);
         assert!(got.max_abs_diff(&want) < 1e-9);
@@ -522,8 +377,8 @@ mod tests {
     fn zorder_3d_matches_direct() {
         let a = sample(&[8, 8, 8]);
         let src = ArraySource::new(&a, &[1, 1, 1]);
-        let mut cs = mem_store(NonStandardTiling::new(3, 3, 1), 512, IoStats::new());
-        let report = transform_nonstandard_zorder(&src, &mut cs);
+        let mut cs = mem_shared_store(NonStandardTiling::new(3, 3, 1), 512, 1, IoStats::new());
+        let report = transform_nonstandard_parallel(&src, &cs, 1);
         let got = read_all(&mut cs, &[8, 8, 8]);
         let want = ss_core::nonstandard::forward_to(&a);
         assert!(got.max_abs_diff(&want) < 1e-9);
@@ -538,12 +393,12 @@ mod tests {
         let src = ArraySource::new(&a, &[1, 1]);
 
         let stats_rm = IoStats::new();
-        let mut cs = mem_store(NonStandardTiling::new(2, 4, 2), 256, stats_rm.clone());
-        transform_nonstandard(&src, &mut cs, false);
+        let cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 256, 1, stats_rm.clone());
+        transform_nonstandard(&src, &cs, false);
 
         let stats_z = IoStats::new();
-        let mut cs2 = mem_store(NonStandardTiling::new(2, 4, 2), 256, stats_z.clone());
-        transform_nonstandard_zorder(&src, &mut cs2);
+        let cs2 = mem_shared_store(NonStandardTiling::new(2, 4, 2), 256, 1, stats_z.clone());
+        transform_nonstandard_parallel(&src, &cs2, 1);
 
         assert!(
             stats_z.snapshot().coeff_writes < stats_rm.snapshot().coeff_writes,
@@ -558,8 +413,8 @@ mod tests {
         let a = sample(&[8, 8]);
         let src = ArraySource::new(&a, &[1, 1]);
         let stats = IoStats::new();
-        let mut cs = mem_store(StandardTiling::cube(2, 3, 1), 64, stats.clone());
-        let report = transform_standard(&src, &mut cs, false);
+        let cs = mem_shared_store(StandardTiling::cube(2, 3, 1), 64, 1, stats.clone());
+        let report = transform_standard(&src, &cs, false);
         assert_eq!(report.input_coeffs, 64);
         assert!(stats.snapshot().coeff_reads >= 64);
     }
@@ -569,8 +424,8 @@ mod tests {
         let a = sample(&[16, 16]);
         for chunk_levels in [1u32, 2] {
             let src = ArraySource::new(&a, &[chunk_levels; 2]);
-            let mut cs = mem_store(NonStandardTiling::new(2, 4, 2), 256, IoStats::new());
-            transform_nonstandard_zorder_scalings(&src, &mut cs);
+            let cs = mem_shared_store(NonStandardTiling::new(2, 4, 2), 256, 1, IoStats::new());
+            transform_nonstandard_zorder_scalings(&src, &cs);
             // Coefficients match the direct transform.
             let want = ss_core::nonstandard::forward_to(&a);
             for idx in ss_array::MultiIndexIter::new(&[16, 16]) {
@@ -610,12 +465,12 @@ mod tests {
         }
         let src = ArraySource::new(&a, &[2, 2]);
         let stats_d = IoStats::new();
-        let mut dense = mem_store(StandardTiling::cube(2, 5, 2), 256, stats_d.clone());
-        transform_standard(&src, &mut dense, false);
+        let dense = mem_shared_store(StandardTiling::cube(2, 5, 2), 256, 1, stats_d.clone());
+        transform_standard(&src, &dense, false);
         let d = stats_d.snapshot();
         let stats_s = IoStats::new();
-        let mut sparse = mem_store(StandardTiling::cube(2, 5, 2), 256, stats_s.clone());
-        let report = transform_standard_sparse(&src, &mut sparse);
+        let sparse = mem_shared_store(StandardTiling::cube(2, 5, 2), 256, 1, stats_s.clone());
+        let report = transform_standard_sparse(&src, &sparse);
         let s = stats_s.snapshot();
         assert_eq!(report.chunks, 1, "only the occupied chunk processed");
         for idx in ss_array::MultiIndexIter::new(&[32, 32]) {
@@ -634,8 +489,8 @@ mod tests {
     fn whole_domain_single_chunk_degenerates_to_direct() {
         let a = sample(&[8, 8]);
         let src = ArraySource::new(&a, &[3, 3]);
-        let mut cs = mem_store(StandardTiling::cube(2, 3, 1), 64, IoStats::new());
-        transform_standard(&src, &mut cs, false);
+        let mut cs = mem_shared_store(StandardTiling::cube(2, 3, 1), 64, 1, IoStats::new());
+        transform_standard(&src, &cs, false);
         let got = read_all(&mut cs, &[8, 8]);
         let want = ss_core::standard::forward_to(&a);
         assert!(got.max_abs_diff(&want) < 1e-9);

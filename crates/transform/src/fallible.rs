@@ -4,7 +4,7 @@
 //! [`BlockStore`] face, which reports failures by
 //! panicking with a [`StorageError`] payload (see
 //! `ss_storage::downcast_storage_error`). These wrappers catch that
-//! unwind — including out of worker threads in the parallel drivers — and
+//! unwind — including out of worker threads — and
 //! hand the typed error back as an `Err`, so callers like the CLI can
 //! print a proper diagnostic and pick an exit code instead of aborting
 //! with a panic trace.
@@ -17,21 +17,8 @@
 use crate::chunked::TransformReport;
 use crate::source::ChunkSource;
 use ss_core::TilingMap;
-use ss_storage::{downcast_storage_error, BlockStore, CoeffStore, SharedCoeffStore, StorageError};
+use ss_storage::{downcast_storage_error, BlockStore, SharedCoeffStore, StorageError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// [`transform_standard`](crate::transform_standard) with storage panics
-/// surfaced as typed errors.
-pub fn try_transform_standard<M: TilingMap, S: BlockStore>(
-    src: &impl ChunkSource,
-    cs: &mut CoeffStore<M, S>,
-    sparse: bool,
-) -> Result<TransformReport, StorageError> {
-    catch_unwind(AssertUnwindSafe(|| {
-        crate::chunked::transform_standard(src, cs, sparse)
-    }))
-    .map_err(downcast_storage_error)
-}
 
 /// [`transform_standard_parallel`](crate::transform_standard_parallel)
 /// with storage panics — from any worker — surfaced as typed errors.
@@ -84,8 +71,8 @@ mod tests {
         let src = ArraySource::new(&a, &[2, 2]);
         let stats = IoStats::new();
         let map = StandardTiling::new(&[4; 2], &[2; 2]);
-        let mut cs = CoeffStore::new(map, wrapped_store(0.1, 8, stats.clone()), 4, stats);
-        let report = try_transform_standard(&src, &mut cs, false).unwrap();
+        let cs = SharedCoeffStore::new(map, wrapped_store(0.1, 8, stats.clone()), 4, 1, stats);
+        let report = try_transform_standard_parallel(&src, &cs, 1).unwrap();
         assert_eq!(report.chunks, 16);
         let want = ss_core::standard::forward_to(&a);
         for idx in ss_array::MultiIndexIter::new(&[16, 16]) {
@@ -94,14 +81,14 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_surface_as_typed_error_serial() {
+    fn exhausted_retries_surface_as_typed_error_one_worker() {
         let a = sample(16);
         let src = ArraySource::new(&a, &[2, 2]);
         let stats = IoStats::new();
         let map = StandardTiling::new(&[4; 2], &[2; 2]);
         // 100% read faults, tiny budget: the first pool miss must fail.
-        let mut cs = CoeffStore::new(map, wrapped_store(1.0, 1, stats.clone()), 4, stats);
-        match try_transform_standard(&src, &mut cs, false) {
+        let cs = SharedCoeffStore::new(map, wrapped_store(1.0, 1, stats.clone()), 4, 1, stats);
+        match try_transform_standard_parallel(&src, &cs, 1) {
             Err(StorageError::RetriesExhausted { op: "read", .. }) => {}
             other => panic!("expected typed exhaustion, got {other:?}"),
         }

@@ -5,10 +5,14 @@
 //!
 //! * [`source`] — the chunked input abstraction ("data organised and stored
 //!   in multidimensional chunks", Section 5.1),
-//! * [`chunked`] — **Result 1** (standard form) and **Result 2**
+//! * [`par`] — **Result 1** (standard form) and **Result 2**
 //!   (non-standard form with z-order schedule and crest cache): transform a
 //!   dataset far larger than memory by transforming each chunk in memory and
-//!   folding its SHIFT-SPLIT delta stream into tiled storage,
+//!   folding its SHIFT-SPLIT delta stream into tiled storage, with any
+//!   number of workers (one worker is the serial algorithm),
+//! * [`chunked`] — the single-threaded variants the ablation measures
+//!   (cold cache per chunk, sparse input, row-major non-standard schedule)
+//!   over the same chunk loops,
 //! * [`vitter`] — the Vitter-et-al.-style baseline: dimension-by-dimension
 //!   external 1-d transforms over row-major block storage,
 //! * [`append`] — **Section 5.2**: appending new data to an existing
@@ -35,11 +39,13 @@ pub mod vitter;
 pub use append::Appender;
 pub use chain::NsChainStore;
 pub use chunked::{
-    transform_nonstandard, transform_nonstandard_zorder, transform_nonstandard_zorder_scalings,
-    transform_standard, transform_standard_sparse, TransformReport,
+    transform_nonstandard, transform_nonstandard_zorder_scalings, transform_standard,
+    transform_standard_sparse, TransformReport,
 };
-pub use fallible::{try_transform_standard, try_transform_standard_parallel};
-pub use par::{resolve_workers, transform_nonstandard_parallel, transform_standard_parallel};
+pub use fallible::try_transform_standard_parallel;
+pub use par::{
+    resolve_workers, run_workers, transform_nonstandard_parallel, transform_standard_parallel,
+};
 pub use source::{ArraySource, ChunkSource, FnSource};
 pub use update::{
     for_each_box_delta_nonstandard, for_each_box_delta_standard, update_box_nonstandard,

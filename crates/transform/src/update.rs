@@ -10,7 +10,7 @@
 
 use ss_array::{decompose_range, NdArray, Shape};
 use ss_core::TilingMap;
-use ss_storage::{BlockStore, CoeffStore};
+use ss_storage::{BlockStore, SharedCoeffStore};
 
 /// What one box update amounted to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -160,7 +160,7 @@ pub fn for_each_box_delta_nonstandard(
 /// `n` are the per-axis domain levels. Neither `origin` nor the box extents
 /// need any alignment; the box is decomposed into dyadic pieces internally.
 pub fn update_box_standard<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
+    cs: &SharedCoeffStore<M, S>,
     n: &[u32],
     origin: &[usize],
     delta: &NdArray<f64>,
@@ -175,7 +175,7 @@ pub fn update_box_standard<M: TilingMap, S: BlockStore>(
 /// Non-standard-form twin of [`update_box_standard`]: adds `delta` to a
 /// store holding the non-standard transform of a `d`-cube of side `2^n`.
 pub fn update_box_nonstandard<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
+    cs: &SharedCoeffStore<M, S>,
     n: u32,
     origin: &[usize],
     delta: &NdArray<f64>,
@@ -191,7 +191,7 @@ pub fn update_box_nonstandard<M: TilingMap, S: BlockStore>(
 /// Costs `O(V · Π(n_t + 1))` coefficient updates — what `update_box_standard`
 /// is measured against.
 pub fn update_box_pointwise<M: TilingMap, S: BlockStore>(
-    cs: &mut CoeffStore<M, S>,
+    cs: &SharedCoeffStore<M, S>,
     n: &[u32],
     origin: &[usize],
     delta: &NdArray<f64>,
@@ -245,20 +245,25 @@ mod tests {
     use super::*;
     use ss_array::{MultiIndexIter, Shape};
     use ss_core::tiling::StandardTiling;
-    use ss_storage::{wstore::mem_store, IoStats};
+    use ss_storage::{mem_shared_store, IoStats};
 
     fn setup(
         side: usize,
         n: u32,
     ) -> (
         NdArray<f64>,
-        ss_storage::CoeffStore<StandardTiling, ss_storage::MemBlockStore>,
+        ss_storage::SharedCoeffStore<StandardTiling, ss_storage::MemBlockStore>,
     ) {
         let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
             ((idx[0] * 5 + idx[1] * 3) % 13) as f64
         });
         let t = ss_core::standard::forward_to(&data);
-        let mut cs = mem_store(StandardTiling::new(&[n; 2], &[2; 2]), 1024, IoStats::new());
+        let cs = mem_shared_store(
+            StandardTiling::new(&[n; 2], &[2; 2]),
+            1024,
+            1,
+            IoStats::new(),
+        );
         for idx in MultiIndexIter::new(&[side, side]) {
             cs.write(&idx, t.get(&idx));
         }
@@ -266,7 +271,7 @@ mod tests {
     }
 
     fn check_matches(
-        cs: &mut ss_storage::CoeffStore<StandardTiling, ss_storage::MemBlockStore>,
+        cs: &mut ss_storage::SharedCoeffStore<StandardTiling, ss_storage::MemBlockStore>,
         n: u32,
         reference: &NdArray<f64>,
     ) {
@@ -289,7 +294,7 @@ mod tests {
         let delta = NdArray::from_fn(Shape::new(&[7, 9]), |idx| {
             (idx[0] + 2 * idx[1]) as f64 - 5.0
         });
-        let report = update_box_standard(&mut cs, &[5, 5], &[3, 5], &delta);
+        let report = update_box_standard(&cs, &[5, 5], &[3, 5], &delta);
         assert!(report.pieces > 1, "misaligned box must decompose");
         assert!(report.coeffs_touched > 0);
         for rel in MultiIndexIter::new(&[7, 9]) {
@@ -303,7 +308,7 @@ mod tests {
     fn aligned_box_is_single_piece() {
         let (mut data, mut cs) = setup(32, 5);
         let delta = NdArray::from_fn(Shape::new(&[8, 8]), |_| 1.5);
-        let report = update_box_standard(&mut cs, &[5, 5], &[8, 16], &delta);
+        let report = update_box_standard(&cs, &[5, 5], &[8, 16], &delta);
         assert_eq!(report.pieces, 1);
         for rel in MultiIndexIter::new(&[8, 8]) {
             let idx = [8 + rel[0], 16 + rel[1]];
@@ -314,11 +319,11 @@ mod tests {
 
     #[test]
     fn pointwise_baseline_agrees_with_batched() {
-        let (data, mut cs_a) = setup(16, 4);
-        let (_, mut cs_b) = setup(16, 4);
+        let (data, cs_a) = setup(16, 4);
+        let (_, cs_b) = setup(16, 4);
         let delta = NdArray::from_fn(Shape::new(&[5, 3]), |idx| idx[0] as f64 - idx[1] as f64);
-        update_box_standard(&mut cs_a, &[4, 4], &[2, 9], &delta);
-        update_box_pointwise(&mut cs_b, &[4, 4], &[2, 9], &delta);
+        update_box_standard(&cs_a, &[4, 4], &[2, 9], &delta);
+        update_box_pointwise(&cs_b, &[4, 4], &[2, 9], &delta);
         for idx in MultiIndexIter::new(&[16, 16]) {
             assert!((cs_a.read(&idx) - cs_b.read(&idx)).abs() < 1e-9, "{idx:?}");
         }
@@ -327,16 +332,16 @@ mod tests {
 
     #[test]
     fn batched_touches_fewer_coefficients_for_large_boxes() {
-        let (_, mut cs_a) = setup(64, 6);
-        let (_, mut cs_b) = setup(64, 6);
+        let (_, cs_a) = setup(64, 6);
+        let (_, cs_b) = setup(64, 6);
         let delta = NdArray::from_fn(Shape::new(&[32, 32]), |_| 2.0);
         let stats_a = cs_a.stats().clone();
         let stats_b = cs_b.stats().clone();
         stats_a.reset();
-        update_box_standard(&mut cs_a, &[6, 6], &[0, 0], &delta);
+        update_box_standard(&cs_a, &[6, 6], &[0, 0], &delta);
         let batched = stats_a.snapshot().coeff_writes;
         stats_b.reset();
-        update_box_pointwise(&mut cs_b, &[6, 6], &[0, 0], &delta);
+        update_box_pointwise(&cs_b, &[6, 6], &[0, 0], &delta);
         let pointwise = stats_b.snapshot().coeff_writes;
         assert!(
             batched * 10 < pointwise,
@@ -348,7 +353,7 @@ mod tests {
     fn single_cell_update() {
         let (mut data, mut cs) = setup(16, 4);
         let delta = NdArray::from_fn(Shape::new(&[1, 1]), |_| 7.0);
-        update_box_standard(&mut cs, &[4, 4], &[9, 13], &delta);
+        update_box_standard(&cs, &[4, 4], &[9, 13], &delta);
         data.set(&[9, 13], data.get(&[9, 13]) + 7.0);
         check_matches(&mut cs, 4, &data);
     }
@@ -356,9 +361,9 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_out_of_domain_update() {
-        let (_, mut cs) = setup(16, 4);
+        let (_, cs) = setup(16, 4);
         let delta = NdArray::from_fn(Shape::new(&[4, 4]), |_| 1.0);
-        update_box_standard(&mut cs, &[4, 4], &[14, 0], &delta);
+        update_box_standard(&cs, &[4, 4], &[14, 0], &delta);
     }
 
     #[test]
@@ -370,7 +375,7 @@ mod tests {
             ((idx[0] * 11 + idx[1] * 7) % 17) as f64 - 4.0
         });
         let t = ss_core::nonstandard::forward_to(&data);
-        let mut cs = mem_store(NonStandardTiling::new(2, n, 2), 1024, IoStats::new());
+        let cs = mem_shared_store(NonStandardTiling::new(2, n, 2), 1024, 1, IoStats::new());
         for idx in MultiIndexIter::new(&[side, side]) {
             cs.write(&idx, t.get(&idx));
         }
@@ -379,7 +384,7 @@ mod tests {
         let delta = NdArray::from_fn(Shape::new(&[7, 9]), |idx| {
             (idx[0] * 2 + idx[1]) as f64 * 0.5 - 3.0
         });
-        let report = update_box_nonstandard(&mut cs, n, &[3, 5], &delta);
+        let report = update_box_nonstandard(&cs, n, &[3, 5], &delta);
         assert!(report.pieces > 1);
         for rel in MultiIndexIter::new(&[7, 9]) {
             let idx = [3 + rel[0], 5 + rel[1]];

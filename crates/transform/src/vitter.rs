@@ -19,7 +19,7 @@
 use crate::source::ChunkSource;
 use ss_array::MultiIndexIter;
 use ss_core::{NaiveMap, TilingMap};
-use ss_storage::{CoeffStore, IoStats, MemBlockStore};
+use ss_storage::{IoStats, MemBlockStore, SharedCoeffStore};
 
 /// Runs the baseline external standard transform.
 ///
@@ -34,13 +34,13 @@ pub fn vitter_transform_standard(
     mem_coeffs: usize,
     block_capacity: usize,
     stats: IoStats,
-) -> CoeffStore<NaiveMap, MemBlockStore> {
+) -> SharedCoeffStore<NaiveMap, MemBlockStore> {
     let shape = src.domain_shape();
     let d = shape.ndim();
     let map = NaiveMap::new(shape.clone(), block_capacity);
     let store = MemBlockStore::new(block_capacity, map.num_tiles(), stats.clone());
     let pool_budget = (mem_coeffs / block_capacity).max(1);
-    let mut cs = CoeffStore::new(map, store, pool_budget, stats.clone());
+    let cs = SharedCoeffStore::new(map, store, pool_budget, 1, stats.clone());
 
     // Phase 1: materialise the input in row-major block storage.
     let mut global = vec![0usize; d];
@@ -102,7 +102,7 @@ mod tests {
     fn produces_canonical_standard_transform() {
         let a = sample(&[8, 16]);
         let src = ArraySource::new(&a, &[1, 2]);
-        let mut cs = vitter_transform_standard(&src, 64, 8, IoStats::new());
+        let cs = vitter_transform_standard(&src, 64, 8, IoStats::new());
         let want = ss_core::standard::forward_to(&a);
         for idx in MultiIndexIter::new(&[8, 16]) {
             assert!((cs.read(&idx) - want.get(&idx)).abs() < 1e-9, "{idx:?}");
@@ -129,7 +129,7 @@ mod tests {
     fn three_dimensional_correctness() {
         let a = sample(&[4, 4, 8]);
         let src = ArraySource::new(&a, &[1, 1, 2]);
-        let mut cs = vitter_transform_standard(&src, 128, 8, IoStats::new());
+        let cs = vitter_transform_standard(&src, 128, 8, IoStats::new());
         let want = ss_core::standard::forward_to(&a);
         for idx in MultiIndexIter::new(&[4, 4, 8]) {
             assert!((cs.read(&idx) - want.get(&idx)).abs() < 1e-9, "{idx:?}");

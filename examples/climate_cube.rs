@@ -13,9 +13,9 @@
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
 use shiftsplit::datagen::temperature_cube;
 use shiftsplit::query;
-use shiftsplit::storage::{wstore::mem_store, IoStats};
+use shiftsplit::storage::{mem_shared_store, IoStats};
 use shiftsplit::transform::{
-    transform_nonstandard_zorder, transform_standard, vitter_transform_standard, ArraySource,
+    transform_nonstandard_parallel, transform_standard, vitter_transform_standard, ArraySource,
 };
 
 const N: u32 = 4; // 16 per axis -> 16^4 = 65,536 cells
@@ -37,22 +37,24 @@ fn main() {
 
     // SHIFT-SPLIT standard form.
     let stats_s = IoStats::new();
-    let mut std_store = mem_store(
+    let mut std_store = mem_shared_store(
         StandardTiling::new(&[N; 4], &[B; 4]),
         (mem / block).max(1),
+        1,
         stats_s.clone(),
     );
-    transform_standard(&src, &mut std_store, false);
+    transform_standard(&src, &std_store, false);
     println!("SHIFT-SPLIT standard:      {}", stats_s.snapshot());
 
     // SHIFT-SPLIT non-standard form, z-order schedule.
     let stats_z = IoStats::new();
-    let mut ns_store = mem_store(
+    let ns_store = mem_shared_store(
         NonStandardTiling::new(4, N, B),
         (mem / block).max(1),
+        1,
         stats_z.clone(),
     );
-    let report = transform_nonstandard_zorder(&src, &mut ns_store);
+    let report = transform_nonstandard_parallel(&src, &ns_store, 1);
     println!(
         "SHIFT-SPLIT non-standard:  {} (crest cache peak: {} coeffs)",
         stats_z.snapshot(),

@@ -14,7 +14,7 @@ use shiftsplit::core::tiling::StandardTiling;
 use shiftsplit::core::{algebra, standard};
 use shiftsplit::datagen::temperature_cube;
 use shiftsplit::query::{progressive_range_sum, StoredSynopsis};
-use shiftsplit::storage::{wstore::mem_store, IoStats};
+use shiftsplit::storage::{mem_shared_store, IoStats};
 
 fn main() {
     // lat x lon x alt x time, then project out longitude to keep it 3-d.
@@ -55,9 +55,10 @@ fn main() {
 
     // --- 5. Approximate aggregates from a tiny synopsis. ---
     let lat_alt_time = inverse3(&t3);
-    let mut cs = mem_store(
+    let mut cs = mem_shared_store(
         StandardTiling::new(&[4, 3, 6], &[2, 1, 2]),
         1 << 12,
+        1,
         IoStats::new(),
     );
     for idx in MultiIndexIter::new(&[16, 8, 64]) {

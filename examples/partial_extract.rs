@@ -13,7 +13,7 @@ use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::standard;
 use shiftsplit::core::tiling::StandardTiling;
 use shiftsplit::query::recon;
-use shiftsplit::storage::{wstore::mem_store, IoStats};
+use shiftsplit::storage::{mem_shared_store, IoStats};
 
 const N: u32 = 9; // 512 x 512
 
@@ -32,9 +32,10 @@ fn main() {
     });
     let t = standard::forward_to(&data);
     let stats = IoStats::new();
-    let mut cs = mem_store(
+    let mut cs = mem_shared_store(
         StandardTiling::new(&[N; 2], &[3; 2]),
         1 << 14,
+        1,
         stats.clone(),
     );
     for idx in MultiIndexIter::new(&[side, side]) {

@@ -9,7 +9,7 @@ use shiftsplit::array::{NdArray, Shape};
 use shiftsplit::core::tiling::StandardTiling;
 use shiftsplit::core::{haar1d, split, standard};
 use shiftsplit::query;
-use shiftsplit::storage::{wstore::mem_store, IoStats};
+use shiftsplit::storage::{mem_shared_store, IoStats};
 
 fn main() {
     // --- 1. The paper's running example: a tiny 1-d Haar transform. ---
@@ -31,7 +31,7 @@ fn main() {
 
     // --- 3. Store the coefficients in disk tiles and query them. ---
     let stats = IoStats::new();
-    let mut store = mem_store(StandardTiling::new(&[6, 6], &[2, 2]), 256, stats.clone());
+    let mut store = mem_shared_store(StandardTiling::new(&[6, 6], &[2, 2]), 256, 1, stats.clone());
     for idx in shiftsplit::array::MultiIndexIter::new(&[side, side]) {
         store.write(&idx, coeffs.get(&idx));
     }

@@ -19,9 +19,7 @@
 use ss_array::NdArray;
 use ss_core::tiling::StandardTiling;
 use ss_core::TilingMap;
-use ss_storage::{
-    BlockStore, CoeffStore, FileBlockStore, IoStats, MemBlockStore, SharedCoeffStore,
-};
+use ss_storage::{BlockStore, FileBlockStore, IoStats, MemBlockStore, SharedCoeffStore};
 use ss_transform::ArraySource;
 
 /// Builder for [`WaveletCube`].
@@ -132,10 +130,9 @@ impl WaveletCubeBuilder {
 /// A standard-form wavelet-transformed data cube on tiled block storage.
 pub struct WaveletCube<S: BlockStore = MemBlockStore> {
     levels: Vec<u32>,
-    // `Option` only so `ingest_parallel` can move the store through a
-    // `SharedCoeffStore` and back; always `Some` between method calls.
-    cs: Option<CoeffStore<StandardTiling, S>>,
-    pool_blocks: usize,
+    // `Option` only so `ingest_parallel` can rehouse the store (which
+    // moves it); always `Some` between method calls.
+    cs: Option<SharedCoeffStore<StandardTiling, S>>,
     stats: IoStats,
     fast_point_ready: bool,
 }
@@ -156,16 +153,21 @@ impl<S: BlockStore> WaveletCube<S> {
         stats: IoStats,
     ) -> Self {
         WaveletCube {
-            cs: Some(CoeffStore::new(map, store, pool_blocks, stats.clone())),
-            pool_blocks,
+            cs: Some(SharedCoeffStore::new(
+                map,
+                store,
+                pool_blocks,
+                1,
+                stats.clone(),
+            )),
             levels,
             stats,
             fast_point_ready: false,
         }
     }
 
-    fn cs(&mut self) -> &mut CoeffStore<StandardTiling, S> {
-        self.cs.as_mut().expect("coefficient store present")
+    fn cs(&self) -> &SharedCoeffStore<StandardTiling, S> {
+        self.cs.as_ref().expect("coefficient store present")
     }
 
     /// Per-axis domain sizes.
@@ -178,73 +180,60 @@ impl<S: BlockStore> WaveletCube<S> {
         &self.stats
     }
 
-    /// Transforms `data` into the cube, out-of-core by chunks.
+    /// Transforms `data` into the cube, out-of-core by chunks, on one
+    /// worker.
     ///
     /// # Panics
     ///
     /// Panics when `data`'s shape differs from the cube's.
-    pub fn ingest(&mut self, data: &NdArray<f64>) {
-        assert_eq!(
-            data.shape().dims(),
-            self.dims().as_slice(),
-            "shape mismatch"
-        );
-        let chunk_levels: Vec<u32> = self.levels.iter().map(|&n| n.min(3)).collect();
-        let src = ArraySource::new(data, &chunk_levels);
-        ss_transform::transform_standard(&src, self.cs(), false);
-        self.fast_point_ready = false;
+    pub fn ingest(&mut self, data: &NdArray<f64>)
+    where
+        S: Send + Sync,
+    {
+        self.ingest_parallel(data, 1);
     }
 
-    /// Parallel variant of [`WaveletCube::ingest`] (`0` workers = auto):
-    /// the coefficient store is rehoused in a sharded, thread-safe buffer
-    /// pool for the duration of the transform, with one shard per worker.
+    /// [`WaveletCube::ingest`] with `workers` threads (`0` = auto). With
+    /// more than one, the coefficient store is rehoused in a pool with one
+    /// shard per worker for the duration of the transform.
     pub fn ingest_parallel(&mut self, data: &NdArray<f64>, workers: usize)
     where
         S: Send + Sync,
     {
-        assert_eq!(data.shape().dims(), self.dims().as_slice());
+        let shape = data.shape().dims();
+        assert_eq!(shape, self.dims().as_slice(), "shape mismatch");
         let chunk_levels: Vec<u32> = self.levels.iter().map(|&n| n.min(3)).collect();
         let src = ArraySource::new(data, &chunk_levels);
         let workers = ss_transform::resolve_workers(workers);
-        let (map, store) = self
-            .cs
-            .take()
-            .expect("coefficient store present")
-            .into_parts();
-        let shared =
-            SharedCoeffStore::new(map, store, self.pool_blocks, workers, self.stats.clone());
-        ss_transform::transform_standard_parallel(&src, &shared, workers);
-        let (map, store) = shared.into_parts();
-        self.cs = Some(CoeffStore::new(
-            map,
-            store,
-            self.pool_blocks,
-            self.stats.clone(),
-        ));
+        if workers == 1 {
+            ss_transform::transform_standard_parallel(&src, self.cs(), 1);
+        } else {
+            let cs = self.cs.take().expect("coefficient store present");
+            let cs = cs.rehouse(workers, std::convert::identity);
+            ss_transform::transform_standard_parallel(&src, &cs, workers);
+            self.cs = Some(cs.rehouse(1, std::convert::identity));
+        }
         self.fast_point_ready = false;
     }
 
     /// The value of one cell.
     pub fn point(&mut self, pos: &[usize]) -> f64 {
-        let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_query::point_standard(cs, &self.levels, pos)
+        ss_query::point_standard(&mut self.cs(), &self.levels, pos)
     }
 
     /// Single-block point query; materialises the tile scaling slots on
     /// first use (and again after any mutation).
     pub fn fast_point(&mut self, pos: &[usize]) -> f64 {
         if !self.fast_point_ready {
-            let cs = self.cs.as_mut().expect("coefficient store present");
-            ss_query::materialize_standard_scalings(cs, &self.levels);
+            ss_query::materialize_standard_scalings(self.cs(), &self.levels);
             self.fast_point_ready = true;
         }
-        ss_query::point_standard_fast(self.cs(), pos)
+        ss_query::point_standard_fast(&mut self.cs(), pos)
     }
 
     /// Sum over the inclusive box `[lo, hi]`.
     pub fn sum(&mut self, lo: &[usize], hi: &[usize]) -> f64 {
-        let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_query::range_sum_standard(cs, &self.levels, lo, hi)
+        ss_query::range_sum_standard(&mut self.cs(), &self.levels, lo, hi)
     }
 
     /// Mean over the inclusive box `[lo, hi]`.
@@ -255,27 +244,24 @@ impl<S: BlockStore> WaveletCube<S> {
 
     /// Reconstructs the inclusive box `[lo, hi]`.
     pub fn extract(&mut self, lo: &[usize], hi: &[usize]) -> NdArray<f64> {
-        let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_query::reconstruct_box_standard(cs, &self.levels, lo, hi)
+        ss_query::reconstruct_box_standard(&mut self.cs(), &self.levels, lo, hi)
     }
 
     /// Adds a delta box anchored at `origin`, entirely in the wavelet
     /// domain; returns the number of dyadic pieces applied.
     pub fn update(&mut self, origin: &[usize], delta: &NdArray<f64>) -> usize {
         self.fast_point_ready = false;
-        let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_transform::update_box_standard(cs, &self.levels, origin, delta).pieces
+        ss_transform::update_box_standard(self.cs(), &self.levels, origin, delta).pieces
     }
 
     /// Builds a K-term synopsis for approximate querying.
     pub fn synopsis(&mut self, k: usize) -> ss_query::StoredSynopsis {
-        let cs = self.cs.as_mut().expect("coefficient store present");
-        ss_query::StoredSynopsis::build(cs, &self.levels, k)
+        ss_query::StoredSynopsis::build(&mut self.cs(), &self.levels, k)
     }
 
     /// Direct access to the underlying coefficient store.
-    pub fn store(&mut self) -> &mut CoeffStore<StandardTiling, S> {
-        self.cs()
+    pub fn store(&mut self) -> &mut SharedCoeffStore<StandardTiling, S> {
+        self.cs.as_mut().expect("coefficient store present")
     }
 }
 

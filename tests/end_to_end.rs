@@ -7,9 +7,9 @@ use shiftsplit::core::TilingMap;
 use shiftsplit::core::{split, standard};
 use shiftsplit::datagen::{precipitation_month, temperature_cube};
 use shiftsplit::query;
-use shiftsplit::storage::{wstore::mem_store, CoeffStore, FileBlockStore, IoStats};
+use shiftsplit::storage::{mem_shared_store, FileBlockStore, IoStats, SharedCoeffStore};
 use shiftsplit::transform::{
-    transform_nonstandard_zorder, transform_standard, Appender, ArraySource,
+    transform_nonstandard_parallel, transform_standard, Appender, ArraySource,
 };
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -28,8 +28,8 @@ fn climate_pipeline_on_real_disk_blocks() {
     let stats = IoStats::new();
     let store = FileBlockStore::create(&path, map.block_capacity(), map.num_tiles(), stats.clone())
         .expect("create block file");
-    let mut cs = CoeffStore::new(map, store, 64, stats.clone());
-    transform_standard(&src, &mut cs, false);
+    let mut cs = SharedCoeffStore::new(map, store, 64, 1, stats.clone());
+    transform_standard(&src, &cs, false);
 
     // Point queries across the cube.
     for idx in [[0usize, 0, 0, 0], [7, 3, 2, 9], [4, 4, 3, 15]] {
@@ -57,9 +57,9 @@ fn nonstandard_pipeline_with_fast_queries() {
     });
     let src = ArraySource::new(&data, &[2, 2]);
     let stats = IoStats::new();
-    let mut cs = mem_store(NonStandardTiling::new(2, 5, 2), 256, stats.clone());
-    transform_nonstandard_zorder(&src, &mut cs);
-    query::materialize_nonstandard_scalings(&mut cs, 5);
+    let mut cs = mem_shared_store(NonStandardTiling::new(2, 5, 2), 256, 1, stats.clone());
+    transform_nonstandard_parallel(&src, &cs, 1);
+    query::materialize_nonstandard_scalings(&cs, 5);
 
     for idx in MultiIndexIter::new(&[side, side]).step_by(37) {
         let plain = query::point_nonstandard(&mut cs, 5, &idx);
@@ -112,7 +112,12 @@ fn wavelet_domain_updates_compose_with_queries() {
     // wavelet domain, then query.
     let side = 64usize;
     let base = NdArray::from_fn(Shape::cube(2, side), |idx| (idx[0] + idx[1]) as f64);
-    let mut cs = mem_store(StandardTiling::new(&[6, 6], &[2, 2]), 512, IoStats::new());
+    let mut cs = mem_shared_store(
+        StandardTiling::new(&[6, 6], &[2, 2]),
+        512,
+        1,
+        IoStats::new(),
+    );
     let t = standard::forward_to(&base);
     for idx in MultiIndexIter::new(&[side, side]) {
         cs.write(&idx, t.get(&idx));
@@ -164,9 +169,14 @@ fn vitter_and_shift_split_agree_on_coefficients() {
     let data = temperature_cube(&[4, 4, 4, 8], 9);
     let src = ArraySource::new(&data, &[1, 1, 1, 2]);
     let n = [2u32, 2, 2, 3];
-    let mut vit = shiftsplit::transform::vitter_transform_standard(&src, 256, 16, IoStats::new());
-    let mut ss = mem_store(StandardTiling::new(&n, &[1, 1, 1, 1]), 256, IoStats::new());
-    transform_standard(&src, &mut ss, false);
+    let vit = shiftsplit::transform::vitter_transform_standard(&src, 256, 16, IoStats::new());
+    let ss = mem_shared_store(
+        StandardTiling::new(&n, &[1, 1, 1, 1]),
+        256,
+        1,
+        IoStats::new(),
+    );
+    transform_standard(&src, &ss, false);
     for idx in MultiIndexIter::new(&[4, 4, 4, 8]) {
         assert!(
             (vit.read(&idx) - ss.read(&idx)).abs() < 1e-9,

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use shiftsplit::array::{DyadicRange, MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
 use shiftsplit::core::{algebra, standard};
-use shiftsplit::storage::{wstore::mem_store, IoStats, MemBlockStore};
+use shiftsplit::storage::{mem_shared_store, IoStats, MemBlockStore};
 use shiftsplit::transform::{
     transform_nonstandard_zorder_scalings, update_box_standard, ArraySource, NsChainStore,
 };
@@ -19,8 +19,8 @@ fn scaling_filled_transform_serves_fast_queries_immediately() {
     });
     let src = ArraySource::new(&a, &[2, 2]);
     let stats = IoStats::new();
-    let mut cs = mem_store(NonStandardTiling::new(2, 5, 2), 256, stats.clone());
-    transform_nonstandard_zorder_scalings(&src, &mut cs);
+    let mut cs = mem_shared_store(NonStandardTiling::new(2, 5, 2), 256, 1, stats.clone());
+    transform_nonstandard_zorder_scalings(&src, &cs);
     // No materialisation pass — fast-path queries are correct right away
     // and cost one block each.
     for idx in MultiIndexIter::new(&[32, 32]).step_by(13) {
@@ -150,14 +150,14 @@ proptest! {
             (seed.wrapping_mul((idx[0] * 32 + idx[1]) as u64 + 1) >> 48) as f64
         });
         let t = standard::forward_to(&data);
-        let mut cs = mem_store(StandardTiling::new(&[5, 5], &[2, 2]), 512, IoStats::new());
+        let cs = mem_shared_store(StandardTiling::new(&[5, 5], &[2, 2]), 512, 1, IoStats::new());
         for idx in MultiIndexIter::new(&[32, 32]) {
             cs.write(&idx, t.get(&idx));
         }
         let delta = NdArray::from_fn(Shape::new(&[e0, e1]), |idx| {
             (idx[0] + idx[1]) as f64 - 3.0
         });
-        update_box_standard(&mut cs, &[5, 5], &[o0, o1], &delta);
+        update_box_standard(&cs, &[5, 5], &[o0, o1], &delta);
         for rel in MultiIndexIter::new(&[e0, e1]) {
             let idx = [o0 + rel[0], o1 + rel[1]];
             data.set(&idx, data.get(&idx) + delta.get(&rel));
@@ -176,7 +176,7 @@ proptest! {
             (seed.wrapping_mul((idx[0] * 16 + idx[1]) as u64 + 9) >> 44) as f64 * 1e-3
         });
         let t = standard::forward_to(&a);
-        let mut cs = mem_store(StandardTiling::new(&[4, 4], &[2, 2]), 512, IoStats::new());
+        let mut cs = mem_shared_store(StandardTiling::new(&[4, 4], &[2, 2]), 512, 1, IoStats::new());
         for idx in MultiIndexIter::new(&[16, 16]) {
             cs.write(&idx, t.get(&idx));
         }

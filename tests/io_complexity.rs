@@ -4,9 +4,10 @@
 use shiftsplit::array::{DyadicRange, MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
 use shiftsplit::query;
-use shiftsplit::storage::{wstore::mem_store, IoStats};
+use shiftsplit::storage::{mem_shared_store, IoStats};
 use shiftsplit::transform::{
-    transform_nonstandard_zorder, transform_standard, vitter_transform_standard, ArraySource,
+    transform_nonstandard_parallel, transform_standard, transform_standard_parallel,
+    vitter_transform_standard, ArraySource,
 };
 
 fn checkerboard(side: usize) -> NdArray<f64> {
@@ -24,8 +25,8 @@ fn result_2_nonstandard_zorder_is_scan_bound() {
         let data = checkerboard(side);
         let src = ArraySource::new(&data, &[2, 2]);
         let stats = IoStats::new();
-        let mut cs = mem_store(NonStandardTiling::new(2, n, 2), 4, stats.clone());
-        transform_nonstandard_zorder(&src, &mut cs);
+        let cs = mem_shared_store(NonStandardTiling::new(2, n, 2), 4, 1, stats.clone());
+        transform_nonstandard_parallel(&src, &cs, 1);
         let blocks = stats.snapshot().blocks();
         let scan = (side * side / 16) as u64; // N^d / B^d
         assert!(
@@ -47,8 +48,8 @@ fn result_1_standard_cost_tracks_formula_ratio() {
         let data = checkerboard(side);
         let src = ArraySource::new(&data, &[m; 2]);
         let stats = IoStats::new();
-        let mut cs = mem_store(StandardTiling::new(&[n; 2], &[b; 2]), 16, stats.clone());
-        transform_standard(&src, &mut cs, false);
+        let cs = mem_shared_store(StandardTiling::new(&[n; 2], &[b; 2]), 16, 1, stats.clone());
+        transform_standard(&src, &cs, false);
         // Per-chunk tiles: (s + p)^2 with s = (M-1)/(B-1), p = ceil((n-m)/b);
         // chunks = (N/M)^2; plus the input scan N^2/B^2.
         let s = ((1usize << m) - 1).div_ceil((1usize << b) - 1);
@@ -71,12 +72,13 @@ fn vitter_io_degrades_when_memory_shrinks_but_shift_split_does_not() {
         let stats_v = IoStats::new();
         let _ = vitter_transform_standard(&src, mem, 16, stats_v.clone());
         let stats_z = IoStats::new();
-        let mut cz = mem_store(
+        let cz = mem_shared_store(
             NonStandardTiling::new(2, 7, 2),
             (mem / 16).max(1),
+            1,
             stats_z.clone(),
         );
-        transform_nonstandard_zorder(&src, &mut cz);
+        transform_nonstandard_parallel(&src, &cz, 1);
         (stats_v.snapshot().blocks(), stats_z.snapshot().blocks())
     };
     let (v_small, z_small) = measure(64);
@@ -150,11 +152,16 @@ fn fast_path_point_queries_read_one_block_everywhere() {
     let data = checkerboard(side);
     let t = shiftsplit::core::standard::forward_to(&data);
     let stats = IoStats::new();
-    let mut cs = mem_store(StandardTiling::new(&[6, 6], &[2, 2]), 2048, stats.clone());
+    let mut cs = mem_shared_store(
+        StandardTiling::new(&[6, 6], &[2, 2]),
+        2048,
+        1,
+        stats.clone(),
+    );
     for idx in MultiIndexIter::new(&[side, side]) {
         cs.write(&idx, t.get(&idx));
     }
-    query::materialize_standard_scalings(&mut cs, &[6, 6]);
+    query::materialize_standard_scalings(&cs, &[6, 6]);
     for idx in MultiIndexIter::new(&[side, side]).step_by(11) {
         cs.clear_cache();
         stats.reset();
@@ -199,4 +206,63 @@ fn expansion_cost_is_linear_in_stored_coefficients() {
         (2.0..8.0).contains(&ratio),
         "expansion cost should scale ~4x for a 4x domain: {small} -> {big}"
     );
+}
+
+#[test]
+fn table_2_io_counts_are_pinned_exactly() {
+    // The exact (block reads, block writes, coefficient reads, coefficient
+    // writes) of both SHIFT-SPLIT transforms on the Table 2
+    // configurations, driven by one worker over a one-shard pool of
+    // max(1, M^d/B^d) blocks. Any change to the pool's LRU, the
+    // drivers' chunk order or the tile-batched apply shows up here.
+    type Counts = (u64, u64, u64, u64);
+    let cases: [((u32, u32, u32), Counts, Counts); 4] = [
+        ((6, 3, 2), (1280, 1024, 4096, 6481), (596, 340, 4096, 3477)),
+        (
+            (7, 3, 2),
+            (7424, 6400, 16384, 31820),
+            (2385, 1361, 16384, 13928),
+        ),
+        (
+            (8, 4, 2),
+            (16640, 12544, 65536, 80376),
+            (8516, 4420, 65536, 55619),
+        ),
+        (
+            (8, 4, 3),
+            (5120, 4096, 65536, 80376),
+            (2324, 1300, 65536, 55619),
+        ),
+    ];
+    for ((n, m, b), want_standard, want_zorder) in cases {
+        let side = 1usize << n;
+        let data = NdArray::from_fn(Shape::cube(2, side), |idx| {
+            ((idx[0] * 31 + idx[1] * 17) % 23) as f64 - 7.0
+        });
+        let src = ArraySource::new(&data, &[m; 2]);
+        let budget = (1usize << (2 * (m - b))).max(1);
+        let counts = |stats: &IoStats| {
+            let s = stats.snapshot();
+            (s.block_reads, s.block_writes, s.coeff_reads, s.coeff_writes)
+        };
+
+        let stats = IoStats::new();
+        let cs = mem_shared_store(
+            StandardTiling::new(&[n; 2], &[b; 2]),
+            budget,
+            1,
+            stats.clone(),
+        );
+        transform_standard_parallel(&src, &cs, 1);
+        assert_eq!(
+            counts(&stats),
+            want_standard,
+            "standard (n,m,b)=({n},{m},{b})"
+        );
+
+        let stats = IoStats::new();
+        let cs = mem_shared_store(NonStandardTiling::new(2, n, b), budget, 1, stats.clone());
+        transform_nonstandard_parallel(&src, &cs, 1);
+        assert_eq!(counts(&stats), want_zorder, "z-order (n,m,b)=({n},{m},{b})");
+    }
 }

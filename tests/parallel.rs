@@ -1,20 +1,21 @@
-//! Worker-count invariance of the parallel transform drivers, and
-//! concurrency smoke tests for the sharded buffer pool.
+//! Worker-count invariance of the transform drivers, and concurrency
+//! smoke tests for the sharded buffer pool.
 //!
-//! The SHIFT-SPLIT delta streams commute under addition, so the parallel
-//! drivers must produce *the same store* as the serial ones for every
-//! worker count — including worker counts that don't divide the chunk
-//! grid, and chunk grids that aren't powers of the worker count.
+//! The SHIFT-SPLIT delta streams commute under addition, so every worker
+//! count must produce *the same store* as the one-worker run over a
+//! one-shard pool — which in turn matches the direct in-memory transform —
+//! including worker counts that don't divide the chunk grid, and chunk
+//! grids that aren't powers of the worker count.
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
+use shiftsplit::core::{nonstandard, standard, TilingMap};
 use shiftsplit::datagen::SplitMix64;
 use shiftsplit::storage::{
-    mem_shared_store, wstore::mem_store, IoStats, MemBlockStore, ShardedBufferPool,
+    mem_shared_store, IoStats, MemBlockStore, ShardedBufferPool, SharedCoeffStore,
 };
 use shiftsplit::transform::{
-    transform_nonstandard_parallel, transform_nonstandard_zorder, transform_standard,
-    transform_standard_parallel, ArraySource,
+    transform_nonstandard_parallel, transform_standard_parallel, ArraySource,
 };
 
 fn noisy(dims: &[usize], seed: u64) -> NdArray<f64> {
@@ -22,12 +23,31 @@ fn noisy(dims: &[usize], seed: u64) -> NdArray<f64> {
     NdArray::from_fn(Shape::new(dims), |_| rng.next_f64() * 200.0 - 100.0)
 }
 
+/// The store holds the direct in-memory transform `want`.
+fn assert_matches_direct<M: TilingMap>(
+    cs: &SharedCoeffStore<M, MemBlockStore>,
+    want: &NdArray<f64>,
+) {
+    for idx in MultiIndexIter::new(want.shape().dims()) {
+        assert!(
+            (cs.read(&idx) - want.get(&idx)).abs() <= 1e-9,
+            "idx={idx:?}"
+        );
+    }
+}
+
 #[test]
 fn standard_parallel_invariant_across_worker_counts() {
     let data = noisy(&[64, 64], 11);
     let src = ArraySource::new(&data, &[3, 3]); // 8x8 chunk grid
-    let mut serial = mem_store(StandardTiling::new(&[6, 6], &[2, 2]), 512, IoStats::new());
-    transform_standard(&src, &mut serial, false);
+    let one_worker = mem_shared_store(
+        StandardTiling::new(&[6, 6], &[2, 2]),
+        512,
+        1,
+        IoStats::new(),
+    );
+    transform_standard_parallel(&src, &one_worker, 1);
+    assert_matches_direct(&one_worker, &standard::forward_to(&data));
     for workers in [1usize, 2, 8] {
         let shared = mem_shared_store(
             StandardTiling::new(&[6, 6], &[2, 2]),
@@ -38,7 +58,7 @@ fn standard_parallel_invariant_across_worker_counts() {
         transform_standard_parallel(&src, &shared, workers);
         for idx in MultiIndexIter::new(&[64, 64]) {
             assert!(
-                (shared.read(&idx) - serial.read(&idx)).abs() <= 1e-9,
+                (shared.read(&idx) - one_worker.read(&idx)).abs() <= 1e-9,
                 "workers={workers} idx={idx:?}"
             );
         }
@@ -51,8 +71,14 @@ fn standard_parallel_non_pow2_chunk_grid() {
     // sliced across worker counts that don't divide it evenly.
     let data = noisy(&[16, 64], 23);
     let src = ArraySource::new(&data, &[3, 3]); // grid 2x8
-    let mut serial = mem_store(StandardTiling::new(&[4, 6], &[2, 2]), 256, IoStats::new());
-    transform_standard(&src, &mut serial, false);
+    let one_worker = mem_shared_store(
+        StandardTiling::new(&[4, 6], &[2, 2]),
+        256,
+        1,
+        IoStats::new(),
+    );
+    transform_standard_parallel(&src, &one_worker, 1);
+    assert_matches_direct(&one_worker, &standard::forward_to(&data));
     for workers in [1usize, 2, 3, 5, 8] {
         let shared = mem_shared_store(
             StandardTiling::new(&[4, 6], &[2, 2]),
@@ -63,7 +89,7 @@ fn standard_parallel_non_pow2_chunk_grid() {
         transform_standard_parallel(&src, &shared, workers);
         for idx in MultiIndexIter::new(&[16, 64]) {
             assert!(
-                (shared.read(&idx) - serial.read(&idx)).abs() <= 1e-9,
+                (shared.read(&idx) - one_worker.read(&idx)).abs() <= 1e-9,
                 "workers={workers} idx={idx:?}"
             );
         }
@@ -75,13 +101,14 @@ fn nonstandard_parallel_invariant_across_worker_counts() {
     let data = noisy(&[32, 32], 37);
     let src = ArraySource::new(&data, &[2, 2]); // 8x8 z-order grid
     let stats = IoStats::new();
-    let mut serial = mem_store(NonStandardTiling::new(2, 5, 2), 512, stats);
-    transform_nonstandard_zorder(&src, &mut serial);
+    let one_worker = mem_shared_store(NonStandardTiling::new(2, 5, 2), 512, 1, stats);
+    transform_nonstandard_parallel(&src, &one_worker, 1);
+    assert_matches_direct(&one_worker, &nonstandard::forward_to(&data));
     for workers in [1usize, 2, 8] {
         let shared = mem_shared_store(NonStandardTiling::new(2, 5, 2), 512, 4, IoStats::new());
         let report = transform_nonstandard_parallel(&src, &shared, workers);
         assert_eq!(report.chunks, 64);
-        // Per-worker crest caches stay within the serial bound
+        // Per-worker crest caches stay within the one-worker bound
         // (2^d − 1)·(n − m) + 1 even at range boundaries.
         assert!(
             report.peak_crest_cache <= 3 * 3 + 1,
@@ -90,7 +117,7 @@ fn nonstandard_parallel_invariant_across_worker_counts() {
         );
         for idx in MultiIndexIter::new(&[32, 32]) {
             assert!(
-                (shared.read(&idx) - serial.read(&idx)).abs() <= 1e-9,
+                (shared.read(&idx) - one_worker.read(&idx)).abs() <= 1e-9,
                 "workers={workers} idx={idx:?}"
             );
         }
@@ -125,7 +152,7 @@ fn nonstandard_parallel_workers_straddling_subtrees() {
 fn concurrent_readers_match_serial_bit_for_bit() {
     // N reader threads run randomized point / range-sum / batch queries
     // against one SharedCoeffStore (through the `&SharedCoeffStore`
-    // CoeffRead impl) while a serial CoeffStore with identical contents
+    // CoeffRead impl) while a single-threaded store with identical contents
     // answers the same queries single-threaded. Every answer must agree
     // bit for bit: the query plans fix the summation order, so thread
     // interleaving may only change *when* tiles are fetched, never what a
@@ -135,9 +162,10 @@ fn concurrent_readers_match_serial_bit_for_bit() {
     let data = noisy(&[32, 32], 53);
     let t = shiftsplit::core::standard::forward_to(&data);
     let levels = [5u32, 5];
-    let mut serial = mem_store(
+    let mut serial = mem_shared_store(
         StandardTiling::new(&levels, &[2, 2]),
         1 << 10,
+        1,
         IoStats::new(),
     );
     // A pool budget far below the 256-tile footprint, so concurrent

@@ -276,9 +276,10 @@ proptest! {
             (x >> 40) as f64 * 0.001
         });
         let t = standard::forward_to(&data);
-        let mut cs = shiftsplit::storage::wstore::mem_store(
+        let mut cs = shiftsplit::storage::mem_shared_store(
             StandardTiling::new(&[5, 5], &[2, 2]),
             512,
+            1,
             shiftsplit::storage::IoStats::new(),
         );
         for idx in MultiIndexIter::new(&[32, 32]) {

@@ -4,9 +4,9 @@
 
 use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::{NonStandardTiling, StandardTiling};
-use shiftsplit::storage::{mem_shared_store, wstore::mem_store, IoStats};
+use shiftsplit::storage::{mem_shared_store, IoStats};
 use shiftsplit::transform::{
-    transform_nonstandard_zorder, transform_standard_parallel, ArraySource,
+    transform_nonstandard_parallel, transform_standard_parallel, ArraySource,
 };
 
 #[test]
@@ -25,7 +25,7 @@ fn megacell_standard_transform_roundtrip() {
     );
     transform_standard_parallel(&src, &shared, 0);
     let (map, store) = shared.into_parts();
-    let mut cs = shiftsplit::storage::CoeffStore::new(map, store, 1 << 12, IoStats::new());
+    let mut cs = shiftsplit::storage::SharedCoeffStore::new(map, store, 1 << 12, 1, IoStats::new());
     // Spot-check 1k points through the query path.
     for i in 0..1000usize {
         let p = [(i * 97) % side, (i * 61) % side];
@@ -43,8 +43,8 @@ fn megacell_nonstandard_zorder() {
     });
     let src = ArraySource::new(&data, &[4, 4]);
     let stats = IoStats::new();
-    let mut cs = mem_store(NonStandardTiling::new(2, 10, 3), 64, stats.clone());
-    let report = transform_nonstandard_zorder(&src, &mut cs);
+    let cs = mem_shared_store(NonStandardTiling::new(2, 10, 3), 64, 1, stats.clone());
+    let report = transform_nonstandard_parallel(&src, &cs, 1);
     assert!(report.peak_crest_cache <= 3 * 6 + 1);
     // Scan bound with a tiny pool.
     let scan = (side * side / 64) as u64;

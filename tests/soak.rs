@@ -9,7 +9,7 @@ use shiftsplit::array::{MultiIndexIter, NdArray, Shape};
 use shiftsplit::core::tiling::StandardTiling;
 use shiftsplit::datagen::{precipitation_month, SplitMix64};
 use shiftsplit::query;
-use shiftsplit::storage::{wstore::mem_store, IoStats, MemBlockStore};
+use shiftsplit::storage::{mem_shared_store, IoStats, MemBlockStore};
 use shiftsplit::transform::Appender;
 
 #[test]
@@ -98,11 +98,11 @@ proptest! {
             (x >> 42) as f64 * 1e-3 - 2.0
         });
         let t = shiftsplit::core::standard::forward_to(&a);
-        let mut cs = mem_store(StandardTiling::new(&[6, 6], &[2, 2]), 1 << 12, IoStats::new());
+        let mut cs = mem_shared_store(StandardTiling::new(&[6, 6], &[2, 2]), 1 << 12, 1, IoStats::new());
         for idx in MultiIndexIter::new(&[64, 64]) {
             cs.write(&idx, t.get(&idx));
         }
-        query::materialize_standard_scalings(&mut cs, &[6, 6]);
+        query::materialize_standard_scalings(&cs, &[6, 6]);
         // Point: fast == plain == truth.
         let plain = query::point_standard(&mut cs, &[6, 6], &[qx, qy]);
         let fast = query::point_standard_fast(&mut cs, &[qx, qy]);
@@ -122,7 +122,7 @@ proptest! {
             (seed.wrapping_mul((idx[0] * 32 + idx[1]) as u64 + 5) >> 47) as f64
         });
         let t = shiftsplit::core::standard::forward_to(&a);
-        let mut cs = mem_store(StandardTiling::new(&[5, 5], &[2, 2]), 1 << 10, IoStats::new());
+        let mut cs = mem_shared_store(StandardTiling::new(&[5, 5], &[2, 2]), 1 << 10, 1, IoStats::new());
         for idx in MultiIndexIter::new(&[32, 32]) {
             cs.write(&idx, t.get(&idx));
         }
