@@ -277,6 +277,12 @@ impl State {
 
     fn trigger_stop(&self) {
         self.stop.store(true, Ordering::Release);
+        // An executor holds the queue lock from its `stopped()` check
+        // until its wait releases it. Taking the lock here puts this
+        // wake-up after that wait begins; notifying without it can fall
+        // in the gap, be lost, and leave the executor asleep through
+        // shutdown (the join then hangs).
+        drop(self.queue.lock().unwrap_or_else(|p| p.into_inner()));
         self.available.notify_all();
         // Unblock accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);

@@ -52,11 +52,20 @@ pub trait BlockStore {
     }
 
     /// Reads block `id` into `buf` through a **shared** reference, for
-    /// stores whose reads need no exclusive state (immutable memory,
-    /// positional file reads). Returns `None` when the store cannot read
-    /// without `&mut self`; callers must then fall back to
-    /// [`try_read_block`](BlockStore::try_read_block) under exclusive
-    /// access.
+    /// stores whose reads need no exclusive state. Returns `None` when the
+    /// store cannot read without `&mut self`; callers must then fall back
+    /// to [`try_read_block`](BlockStore::try_read_block) under exclusive
+    /// access. A store that returns `Some` gives the same result, counts
+    /// and verification (CRC checks included) on both paths.
+    ///
+    /// [`MemBlockStore`](crate::MemBlockStore) and
+    /// [`FileBlockStore`](crate::FileBlockStore) (positioned `pread`s of
+    /// the block and its sidecar CRC) read shared;
+    /// [`ThrottledBlockStore`](crate::ThrottledBlockStore) and
+    /// [`RetryingBlockStore`](crate::RetryingBlockStore) forward to their
+    /// inner store. [`FaultInjectingBlockStore`](crate::FaultInjectingBlockStore)
+    /// deliberately does not, so its injected read faults always fire on
+    /// the exclusive path.
     ///
     /// The sharded buffer pool uses this to overlap miss latency across
     /// worker threads: shared reads run under a read lock, so two misses

@@ -36,7 +36,8 @@ use crate::stats::IoStats;
 use ss_core::SparseTile;
 use ss_obs::{Counter, Histogram};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -112,33 +113,30 @@ impl Sidecar {
         Ok(Sidecar { file })
     }
 
-    /// The recorded CRC of block `id`.
-    fn read(&mut self, id: usize) -> Result<u32, StorageError> {
+    /// The recorded CRC of block `id` (one positioned read).
+    fn read(&self, id: usize) -> Result<u32, StorageError> {
         let mut le = [0u8; 4];
         self.file
-            .seek(SeekFrom::Start(SIDECAR_HEADER + id as u64 * 4))
-            .and_then(|_| self.file.read_exact(&mut le))
+            .read_exact_at(&mut le, SIDECAR_HEADER + id as u64 * 4)
             .map_err(|e| StorageError::io(format!("read crc of block {id}"), e))?;
         Ok(u32::from_le_bytes(le))
     }
 
     /// Records `crc` as block `id`'s checksum.
-    fn write(&mut self, id: usize, crc: u32) -> Result<(), StorageError> {
+    fn write(&self, id: usize, crc: u32) -> Result<(), StorageError> {
         self.file
-            .seek(SeekFrom::Start(SIDECAR_HEADER + id as u64 * 4))
-            .and_then(|_| self.file.write_all(&crc.to_le_bytes()))
+            .write_all_at(&crc.to_le_bytes(), SIDECAR_HEADER + id as u64 * 4)
             .map_err(|e| StorageError::io(format!("write crc of block {id}"), e))
     }
 
     /// Appends zero-block CRCs for blocks `from..to`.
-    fn grow(&mut self, from: usize, to: usize, zero_crc: u32) -> Result<(), StorageError> {
+    fn grow(&self, from: usize, to: usize, zero_crc: u32) -> Result<(), StorageError> {
         let mut bytes = Vec::with_capacity((to - from) * 4);
         for _ in from..to {
             bytes.extend_from_slice(&zero_crc.to_le_bytes());
         }
         self.file
-            .seek(SeekFrom::Start(SIDECAR_HEADER + from as u64 * 4))
-            .and_then(|_| self.file.write_all(&bytes))
+            .write_all_at(&bytes, SIDECAR_HEADER + from as u64 * 4)
             .map_err(|e| StorageError::io("grow checksum sidecar", e))
     }
 }
@@ -532,10 +530,7 @@ impl FileBlockStore {
         bytes[8..12].copy_from_slice(&entry.len.to_le_bytes());
         bytes[12..16].copy_from_slice(&entry.alloc.to_le_bytes());
         self.file
-            .seek(SeekFrom::Start(
-                V3_HEADER_LEN + id as u64 * V3_DIR_ENTRY_LEN,
-            ))
-            .and_then(|_| self.file.write_all(&bytes))
+            .write_all_at(&bytes, V3_HEADER_LEN + id as u64 * V3_DIR_ENTRY_LEN)
             .map_err(|e| StorageError::io(format!("write v3 directory entry {id}"), e))?;
         if let Layout::Sparse { dir, .. } = &mut self.layout {
             dir[id] = entry;
@@ -543,34 +538,70 @@ impl FileBlockStore {
         Ok(())
     }
 
+    /// Checks block `id`'s recorded CRC against `computed` (a no-op on
+    /// legacy v1 stores), counting a mismatch in `checksum_failures`.
+    fn verify_crc(&self, id: usize, computed: u32) -> Result<(), StorageError> {
+        let Some(sc) = &self.sidecar else {
+            return Ok(());
+        };
+        let stored = sc.read(id)?;
+        if stored != computed {
+            self.checksum_failures.inc();
+            return Err(StorageError::Checksum {
+                block: id,
+                stored,
+                computed,
+            });
+        }
+        Ok(())
+    }
+
     /// Reads and CRC-verifies the encoded payload of sparse block `id`.
     /// An all-zero entry returns an empty payload after checking its
     /// sidecar slot holds the empty-string CRC (`0`).
-    fn read_sparse_payload(&mut self, id: usize, entry: DirEntry) -> Result<Vec<u8>, StorageError> {
+    fn read_sparse_payload(&self, id: usize, entry: DirEntry) -> Result<Vec<u8>, StorageError> {
         let mut payload = vec![0u8; entry.len as usize];
-        if entry.offset != 0 {
+        if entry.offset == 0 {
+            self.verify_crc(id, 0)?;
+        } else {
             self.file
-                .seek(SeekFrom::Start(entry.offset))
-                .and_then(|_| self.file.read_exact(&mut payload))
+                .read_exact_at(&mut payload, entry.offset)
                 .map_err(|e| StorageError::io(format!("read sparse block {id}"), e))?;
-        }
-        if let Some(sc) = &mut self.sidecar {
-            let stored = sc.read(id)?;
-            let computed = if entry.offset == 0 {
-                0
-            } else {
-                crc32(&payload)
-            };
-            if stored != computed {
-                self.checksum_failures.inc();
-                return Err(StorageError::Checksum {
-                    block: id,
-                    stored,
-                    computed,
-                });
-            }
+            self.verify_crc(id, crc32(&payload))?;
         }
         Ok(payload)
+    }
+
+    /// The one block-read body behind both [`BlockStore`] read methods:
+    /// positioned reads of the block (dense, or its v3 payload through
+    /// the in-memory directory) and of its sidecar CRC, verified before
+    /// `buf` is filled. Touches no `&mut` state, so the sharded pool runs
+    /// it under the shared half of its store lock.
+    fn read_block_at(&self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+        assert!(id < self.blocks, "block {id} out of range");
+        assert_eq!(buf.len(), self.capacity);
+        let t0 = Instant::now();
+        if let Some(entry) = self.sparse_entry(id) {
+            let payload = self.read_sparse_payload(id, entry)?;
+            if entry.offset == 0 {
+                buf.fill(0.0);
+            } else {
+                sp::decode(&payload, self.capacity)?.to_dense(buf);
+            }
+        } else {
+            let nbytes = self.block_bytes();
+            let mut bytes = vec![0u8; nbytes];
+            self.file
+                .read_exact_at(&mut bytes, (id * nbytes) as u64)
+                .map_err(|e| StorageError::io(format!("read block {id}"), e))?;
+            self.verify_crc(id, crc32(&bytes))?;
+            for (v, le) in buf.iter_mut().zip(bytes.chunks_exact(8)) {
+                *v = f64::from_le_bytes(le.try_into().expect("chunks of 8 bytes"));
+            }
+        }
+        self.read_ns.record(t0.elapsed().as_nanos() as u64);
+        self.stats.add_block_reads(1);
+        Ok(())
     }
 
     /// The §8.5 write protocol for one sparse block: encode, place
@@ -584,7 +615,7 @@ impl FileBlockStore {
             if old != DirEntry::default() {
                 self.write_dir_entry(id, DirEntry::default())?;
             }
-            if let Some(sc) = &mut self.sidecar {
+            if let Some(sc) = &self.sidecar {
                 sc.write(id, 0)?;
             }
             self.sparse_blocks_written.inc();
@@ -610,8 +641,7 @@ impl FileBlockStore {
         // the full allocation so `offset + alloc <= file length` holds
         // for the next open.
         self.file
-            .seek(SeekFrom::Start(entry.offset))
-            .and_then(|_| self.file.write_all(&payload))
+            .write_all_at(&payload, entry.offset)
             .map_err(|e| StorageError::io(format!("write sparse block {id}"), e))?;
         if entry.offset != old.offset {
             let new_heap_end = entry.offset + entry.alloc as u64;
@@ -624,7 +654,7 @@ impl FileBlockStore {
         }
         // Step 3: directory. Step 4: CRC over the encoded payload.
         self.write_dir_entry(id, entry)?;
-        if let Some(sc) = &mut self.sidecar {
+        if let Some(sc) = &self.sidecar {
             sc.write(id, crc32(&payload))?;
         }
         self.sparse_blocks_written.inc();
@@ -640,7 +670,7 @@ impl FileBlockStore {
         self.file
             .sync_data()
             .map_err(|e| StorageError::io("fsync blocks file", e))?;
-        if let Some(sc) = &mut self.sidecar {
+        if let Some(sc) = &self.sidecar {
             sc.file
                 .sync_data()
                 .map_err(|e| StorageError::io("fsync checksum sidecar", e))?;
@@ -680,16 +710,15 @@ impl FileBlockStore {
         let nbytes = self.capacity * 8;
         for id in 0..self.blocks {
             self.file
-                .seek(SeekFrom::Start((id * nbytes) as u64))
-                .and_then(|_| self.file.read_exact(&mut self.byte_buf))
+                .read_exact_at(&mut self.byte_buf, (id * nbytes) as u64)
                 .map_err(|e| StorageError::io(format!("scrub read of block {id}"), e))?;
-            if let Some(sc) = &mut self.sidecar {
-                let stored = sc.read(id)?;
-                if stored != crc32(&self.byte_buf) {
+            match self.verify_crc(id, crc32(&self.byte_buf)) {
+                Ok(()) => {}
+                Err(StorageError::Checksum { .. }) => {
                     report.corrupt.push(id);
                     corruptions.inc();
-                    self.checksum_failures.inc();
                 }
+                Err(e) => return Err(e),
             }
             scanned.inc();
         }
@@ -756,45 +785,15 @@ impl BlockStore for FileBlockStore {
     }
 
     fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
-        assert!(id < self.blocks, "block {id} out of range");
-        assert_eq!(buf.len(), self.capacity);
-        let t0 = Instant::now();
-        if let Some(entry) = self.sparse_entry(id) {
-            let payload = self.read_sparse_payload(id, entry)?;
-            if entry.offset == 0 {
-                buf.fill(0.0);
-            } else {
-                sp::decode(&payload, self.capacity)?.to_dense(buf);
-            }
-            self.read_ns.record(t0.elapsed().as_nanos() as u64);
-            self.stats.add_block_reads(1);
-            return Ok(());
-        }
-        let nbytes = self.block_bytes();
-        self.file
-            .seek(SeekFrom::Start((id * nbytes) as u64))
-            .and_then(|_| self.file.read_exact(&mut self.byte_buf))
-            .map_err(|e| StorageError::io(format!("read block {id}"), e))?;
-        if let Some(sc) = &mut self.sidecar {
-            let stored = sc.read(id)?;
-            let computed = crc32(&self.byte_buf);
-            if stored != computed {
-                self.checksum_failures.inc();
-                return Err(StorageError::Checksum {
-                    block: id,
-                    stored,
-                    computed,
-                });
-            }
-        }
-        for (i, v) in buf.iter_mut().enumerate() {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(&self.byte_buf[i * 8..i * 8 + 8]);
-            *v = f64::from_le_bytes(le);
-        }
-        self.read_ns.record(t0.elapsed().as_nanos() as u64);
-        self.stats.add_block_reads(1);
-        Ok(())
+        self.read_block_at(id, buf)
+    }
+
+    fn try_read_block_shared(
+        &self,
+        id: usize,
+        buf: &mut [f64],
+    ) -> Option<Result<(), StorageError>> {
+        Some(self.read_block_at(id, buf))
     }
 
     fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
@@ -818,10 +817,9 @@ impl BlockStore for FileBlockStore {
         // leaves a mismatch the next read (or scrub) detects — never a
         // silently wrong block (see DESIGN.md §9).
         self.file
-            .seek(SeekFrom::Start((id * nbytes) as u64))
-            .and_then(|_| self.file.write_all(&self.byte_buf))
+            .write_all_at(&self.byte_buf, (id * nbytes) as u64)
             .map_err(|e| StorageError::io(format!("write block {id}"), e))?;
-        if let Some(sc) = &mut self.sidecar {
+        if let Some(sc) = &self.sidecar {
             sc.write(id, crc32(&self.byte_buf))?;
         }
         self.write_ns.record(t0.elapsed().as_nanos() as u64);
@@ -843,7 +841,7 @@ impl BlockStore for FileBlockStore {
             self.file
                 .set_len((self.capacity * blocks * 8) as u64)
                 .expect("grow failed");
-            if let Some(sc) = &mut self.sidecar {
+            if let Some(sc) = &self.sidecar {
                 sc.grow(self.blocks, blocks, self.zero_crc)
                     .expect("grow sidecar failed");
             }
@@ -1164,6 +1162,139 @@ mod tests {
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         assert!(msg.contains("unsupported on format v3"), "got: {msg}");
+        cleanup(&path);
+    }
+
+    /// Bit patterns of block `id` read through both read paths.
+    fn both_reads(store: &mut FileBlockStore, id: usize) -> (Vec<u64>, Vec<u64>) {
+        let cap = store.block_capacity();
+        let (mut shared, mut exclusive) = (vec![f64::NAN; cap], vec![f64::NAN; cap]);
+        store
+            .try_read_block_shared(id, &mut shared)
+            .expect("file stores read through a shared reference")
+            .unwrap();
+        store.try_read_block(id, &mut exclusive).unwrap();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+        (bits(shared), bits(exclusive))
+    }
+
+    #[test]
+    fn shared_reads_are_bit_identical_on_every_format() {
+        let image: Vec<f64> = (0..32)
+            .map(|i| [0.0, -0.0, 1.5, -2.25e-300][i % 4])
+            .collect();
+        let (dense, sparse) = (tmp("shared_v2"), tmp("shared_v3"));
+        let mut stores = vec![
+            FileBlockStore::create(&dense, 32, 4, IoStats::new()).unwrap(),
+            FileBlockStore::create_v3(&sparse, 32, 4, IoStats::new()).unwrap(),
+        ];
+        for store in &mut stores {
+            store.write_block(1, &image);
+        }
+        // A v1 store is the dense bytes without a sidecar.
+        let v1 = tmp("shared_v1");
+        std::fs::copy(&dense, &v1).unwrap();
+        stores.push(FileBlockStore::open_v1(&v1, 32, 4, IoStats::new()).unwrap());
+        for store in &mut stores {
+            for id in 0..4 {
+                let (shared, exclusive) = both_reads(store, id);
+                assert_eq!(shared, exclusive, "block {id}");
+            }
+            let (shared, _) = both_reads(store, 1);
+            assert_eq!(
+                shared,
+                image.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+        for path in [&dense, &sparse, &v1] {
+            cleanup(path);
+        }
+    }
+
+    #[test]
+    fn shared_read_of_a_corrupt_block_fails_with_a_typed_checksum_error() {
+        let failures = ss_obs::global().counter("storage.checksum_failures");
+        let (dense, sparse) = (tmp("shared_bitrot_v2"), tmp("shared_bitrot_v3"));
+        let mut image = [0.0; 64];
+        image[20] = 4.25;
+        for (path, v3) in [(&dense, false), (&sparse, true)] {
+            let create = if v3 {
+                FileBlockStore::create_v3
+            } else {
+                FileBlockStore::create
+            };
+            create(path, 64, 4, IoStats::new())
+                .unwrap()
+                .write_block(2, &image);
+            // Flip one bit of block 2's bytes (the v3 heap starts after
+            // header and directory, with block 2 its only payload).
+            let at = if v3 {
+                (V3_HEADER_LEN + 4 * V3_DIR_ENTRY_LEN) as usize + 5
+            } else {
+                2 * 64 * 8 + 20 * 8 + 1
+            };
+            let mut bytes = std::fs::read(path).unwrap();
+            bytes[at] ^= 0x40;
+            std::fs::write(path, &bytes).unwrap();
+            let open = if v3 {
+                FileBlockStore::open_v3
+            } else {
+                FileBlockStore::open
+            };
+            let store = open(path, 64, 4, IoStats::new()).unwrap();
+            let before = failures.get();
+            let mut buf = [0.0; 64];
+            assert!(
+                matches!(
+                    store.try_read_block_shared(2, &mut buf),
+                    Some(Err(StorageError::Checksum { block: 2, .. }))
+                ),
+                "v3: {v3}"
+            );
+            assert!(failures.get() > before, "v3: {v3}");
+            assert!(matches!(
+                store.try_read_block_shared(0, &mut buf),
+                Some(Ok(()))
+            ));
+            cleanup(path);
+        }
+    }
+
+    #[test]
+    fn file_backed_misses_on_different_shards_overlap() {
+        use crate::shard::ShardedBufferPool;
+        use crate::throttle::ThrottledBlockStore;
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        let path = tmp("shared_pool");
+        let stats = IoStats::new();
+        let file = FileBlockStore::create(&path, 4, 4, stats.clone()).unwrap();
+        let latency = Duration::from_millis(30);
+        let slow = ThrottledBlockStore::new(file, latency, Duration::ZERO);
+        let pool = ShardedBufferPool::new(slow, 2, 2, stats.clone());
+        let start = Barrier::new(3);
+        let t0 = std::thread::scope(|scope| {
+            // Blocks 0 and 1 live on shards 0 and 1.
+            for id in 0..2 {
+                let (pool, start) = (&pool, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    assert_eq!(pool.read(id, 0), 0.0);
+                });
+            }
+            start.wait();
+            Instant::now()
+        });
+        let both = t0.elapsed();
+        assert_eq!(stats.snapshot().block_reads, 2);
+        // Under the exclusive store lock the two misses serialise (2 × 30
+        // ms); as shared reads they wait on the device together.
+        assert!(
+            both < latency * 3 / 2,
+            "two misses on different shards took {both:?}"
+        );
+        drop(pool);
         cleanup(&path);
     }
 

@@ -11,6 +11,19 @@
 //! shard and driven by one thread, the pool is a plain global-LRU cache
 //! and its block counts are the experiments' measurements.
 //!
+//! **The frame table.** Each shard keeps its frames in a `FrameTable`:
+//! a dense `Vec<u32>` index from block id (`id / num_shards`, so every
+//! shard's index is dense) to a node in an arena with a free list, and a
+//! doubly-linked recency list through the nodes, most recently used at
+//! the head. A hit relinks its node at the head, an install links at the
+//! head, and the eviction victim is the first node from the tail that no
+//! flush has pinned, so a miss costs O(1) in the budget. The list order
+//! is the order of last use, which keeps the LRU *exact*: the victim is
+//! the one a full scan for the oldest use would pick, and the block
+//! counts cannot depend on how the frames are stored. A failed
+//! write-back puts its dirty victims back at the tail in their original
+//! order, so the next miss picks the same victim again.
+//!
 //! With more shards, many workers apply coefficient deltas
 //! *concurrently* against one bounded cache: the block-id space is
 //! partitioned across `num_shards` independently locked LRU shards, so
@@ -64,7 +77,6 @@ use crate::error::StorageError;
 use crate::stats::IoStats;
 use ss_core::TilingMap;
 use ss_obs::Histogram;
-use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -82,6 +94,7 @@ pub struct ShardCounters {
     pub writebacks: u64,
 }
 
+#[derive(Default)]
 struct Frame {
     data: Vec<f64>,
     dirty: bool,
@@ -90,11 +103,192 @@ struct Frame {
     /// cannot race the flush's write, and a failed flush write can mark
     /// it dirty again.
     flushing: bool,
-    last_used: u64,
+}
+
+/// The null link of the recency list and an empty index slot.
+const NIL: u32 = u32::MAX;
+
+/// One arena slot of a [`FrameTable`]: a cached frame and its links in
+/// the recency list.
+struct Node {
+    id: usize,
+    frame: Frame,
+    /// The neighbour toward the MRU end.
+    prev: u32,
+    /// The neighbour toward the LRU end.
+    next: u32,
+}
+
+/// A shard's cached frames: a dense index from block id to an arena node,
+/// and a doubly-linked recency list through the nodes, MRU at the head.
+///
+/// Every operation a pool access performs is O(1) in the shard budget:
+/// lookup is one index load, a hit relinks its node at the head, an
+/// install links at the head, and the eviction victim is the tail (or the
+/// first node before it that no flush has pinned). The list order is the
+/// order of last use, so the victim is exactly the least recently used
+/// unpinned frame.
+struct FrameTable {
+    /// `id / stride` → node, `NIL` when the block is not cached. A shard
+    /// only holds ids congruent modulo the shard count, so dividing by it
+    /// keeps the index dense. Grown on demand.
+    index: Vec<u32>,
+    stride: usize,
+    nodes: Vec<Node>,
+    /// Arena slots of removed frames, reused before the arena grows.
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl FrameTable {
+    fn new(stride: usize) -> Self {
+        FrameTable {
+            index: Vec::new(),
+            stride,
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    fn node_of(&self, id: usize) -> Option<u32> {
+        match self.index.get(id / self.stride) {
+            Some(&n) if n != NIL => Some(n),
+            _ => None,
+        }
+    }
+
+    /// The frame of `id`, its recency untouched.
+    fn get_mut(&mut self, id: usize) -> Option<&mut Frame> {
+        let n = self.node_of(id)?;
+        Some(&mut self.nodes[n as usize].frame)
+    }
+
+    /// The frame of `id`, moved to the MRU end.
+    fn touch(&mut self, id: usize) -> Option<&mut Frame> {
+        let n = self.node_of(id)?;
+        if n != self.head {
+            self.unlink(n);
+            self.link_head(n);
+        }
+        Some(&mut self.nodes[n as usize].frame)
+    }
+
+    /// Caches `frame` as block `id` at the MRU end.
+    fn insert_mru(&mut self, id: usize, frame: Frame) -> &mut Frame {
+        let n = self.alloc(id, frame);
+        self.link_head(n);
+        &mut self.nodes[n as usize].frame
+    }
+
+    /// Caches `frame` as block `id` at the LRU end: the next victim.
+    fn insert_lru(&mut self, id: usize, frame: Frame) {
+        let n = self.alloc(id, frame);
+        let node = &mut self.nodes[n as usize];
+        (node.prev, node.next) = (self.tail, NIL);
+        match self.tail {
+            NIL => self.head = n,
+            t => self.nodes[t as usize].next = n,
+        }
+        self.tail = n;
+    }
+
+    /// Removes the least recently used frame no flush has pinned.
+    fn pop_victim(&mut self) -> Option<(usize, Frame)> {
+        let mut n = self.tail;
+        while n != NIL && self.nodes[n as usize].frame.flushing {
+            n = self.nodes[n as usize].prev;
+        }
+        (n != NIL).then(|| self.remove(n))
+    }
+
+    /// Runs `f` on every cached frame, MRU first, recency untouched.
+    fn for_each_mut(&mut self, mut f: impl FnMut(usize, &mut Frame)) {
+        let mut n = self.head;
+        while n != NIL {
+            let node = &mut self.nodes[n as usize];
+            f(node.id, &mut node.frame);
+            n = node.next;
+        }
+    }
+
+    /// Drops every frame for which `keep` returns false.
+    fn retain(&mut self, mut keep: impl FnMut(&Frame) -> bool) {
+        let mut n = self.head;
+        while n != NIL {
+            let next = self.nodes[n as usize].next;
+            if !keep(&self.nodes[n as usize].frame) {
+                self.remove(n);
+            }
+            n = next;
+        }
+    }
+
+    fn alloc(&mut self, id: usize, frame: Frame) -> u32 {
+        let node = Node {
+            id,
+            frame,
+            prev: NIL,
+            next: NIL,
+        };
+        let n = match self.free.pop() {
+            Some(n) => {
+                self.nodes[n as usize] = node;
+                n
+            }
+            None => {
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("frame arena fits u32")
+            }
+        };
+        let k = id / self.stride;
+        if k >= self.index.len() {
+            self.index.resize(k + 1, NIL);
+        }
+        debug_assert_eq!(self.index[k], NIL, "block {id} cached twice");
+        self.index[k] = n;
+        n
+    }
+
+    fn remove(&mut self, n: u32) -> (usize, Frame) {
+        self.unlink(n);
+        let node = &mut self.nodes[n as usize];
+        self.index[node.id / self.stride] = NIL;
+        self.free.push(n);
+        (node.id, std::mem::take(&mut node.frame))
+    }
+
+    fn unlink(&mut self, n: u32) {
+        let Node { prev, next, .. } = self.nodes[n as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            q => self.nodes[q as usize].prev = prev,
+        }
+    }
+
+    fn link_head(&mut self, n: u32) {
+        let node = &mut self.nodes[n as usize];
+        (node.prev, node.next) = (NIL, self.head);
+        match self.head {
+            NIL => self.tail = n,
+            h => self.nodes[h as usize].prev = n,
+        }
+        self.head = n;
+    }
 }
 
 struct Shard {
-    frames: HashMap<usize, Frame>,
+    frames: FrameTable,
     /// Block ids with store I/O in flight (miss load or eviction
     /// write-back). A block in `busy` is never in `frames`; threads that
     /// need it wait on the slot's condvar instead of loading it twice.
@@ -107,24 +301,10 @@ struct Shard {
     /// Uncontended acquisitions of this shard's lock not yet recorded in
     /// the wait histogram (see [`ShardedBufferPool::lock_slot`]).
     zero_waits: u64,
-    clock: u64,
     counters: ShardCounters,
 }
 
 impl Shard {
-    /// The least recently used frame that no flush has pinned.
-    fn lru_victim(&self) -> Option<usize> {
-        // A plain loop: `filter(..).min_by_key(..)` over the map compiled
-        // to a scan several times slower, and this runs on every miss.
-        let mut victim: Option<(u64, usize)> = None;
-        for (&id, fr) in &self.frames {
-            if !fr.flushing && victim.is_none_or(|(used, _)| fr.last_used < used) {
-                victim = Some((fr.last_used, id));
-            }
-        }
-        victim.map(|(_, id)| id)
-    }
-
     /// Clears the busy mark of `id`.
     fn unmark(&mut self, id: usize) {
         if let Some(k) = self.busy.iter().position(|&b| b == id) {
@@ -231,11 +411,10 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         let shards = (0..num_shards)
             .map(|_| ShardSlot {
                 state: Mutex::new(Shard {
-                    frames: HashMap::new(),
+                    frames: FrameTable::new(num_shards),
                     busy: Vec::new(),
                     waiters: 0,
                     zero_waits: 0,
-                    clock: 0,
                     counters: ShardCounters::default(),
                 }),
                 ready: Condvar::new(),
@@ -350,15 +529,13 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         let mut shard = self.lock_slot(slot_ref);
         loop {
             let state = &mut *shard;
-            if let Some(frame) = state.frames.get_mut(&id) {
+            if let Some(frame) = state.frames.touch(id) {
                 state.counters.hits += 1;
                 self.stats.add_pool_hits(1);
                 ss_obs::trace::event(ss_obs::TraceEventKind::TileFetch {
                     tile: id as u64,
                     hit: true,
                 });
-                state.clock += 1;
-                frame.last_used = state.clock;
                 frame.dirty |= mutate;
                 return f(&mut frame.data);
             }
@@ -382,10 +559,9 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             while shard.frames.len() + 1 > self.shard_budget {
                 // Frames a flush is writing are pinned; with every frame
                 // pinned the shard runs over budget until the flush ends.
-                let Some(vid) = shard.lru_victim() else {
+                let Some((vid, frame)) = shard.frames.pop_victim() else {
                     break;
                 };
-                let frame = shard.frames.remove(&vid).expect("victim exists");
                 shard.counters.evictions += 1;
                 self.stats.add_pool_evictions(1);
                 victims.push((vid, frame));
@@ -435,11 +611,15 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             if let Err(e) = outcome {
                 // A dirty victim whose write-back failed (or was never
                 // attempted) is still the only copy of its data: put it
-                // back, dirty, before raising. Every lock is released
-                // first, so the unwind poisons nothing.
+                // back, dirty, before raising. They return to the LRU end
+                // in their original order (oldest last, so it is the
+                // tail): the next miss picks the same victim again. Every
+                // lock is released first, so the unwind poisons nothing.
                 let victims = busy.clear(&mut shard);
-                let dirty = victims.into_iter().filter(|(_, fr)| fr.dirty);
-                shard.frames.extend(dirty.skip(wrote_back));
+                let mut dirty: Vec<_> = victims.into_iter().filter(|(_, fr)| fr.dirty).collect();
+                for (vid, frame) in dirty.drain(wrote_back..).rev() {
+                    shard.frames.insert_lru(vid, frame);
+                }
                 drop(shard);
                 std::panic::panic_any(e);
             }
@@ -448,15 +628,12 @@ impl<S: BlockStore> ShardedBufferPool<S> {
             // concurrent miss evict the frame (or a clear() drop it) and
             // force a second, double-counted load for this one access.
             busy.clear(&mut shard);
-            shard.clock += 1;
             let frame = Frame {
                 data,
                 dirty: mutate,
                 flushing: false,
-                last_used: shard.clock,
             };
-            let frame = shard.frames.entry(id).or_insert(frame);
-            return f(&mut frame.data);
+            return f(&mut shard.frames.insert_mru(id, frame).data);
         }
     }
 
@@ -493,20 +670,15 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         {
             let mut shard = slot.state.lock().unwrap();
             self.record_zero_waits(&mut shard);
-            let mut ids: Vec<usize> = shard
-                .frames
-                .iter()
-                .filter(|(_, fr)| fr.dirty)
-                .map(|(&id, _)| id)
-                .collect();
-            ids.sort_unstable();
-            for id in ids {
-                let frame = shard.frames.get_mut(&id).expect("dirty frame");
-                dirty.push((id, frame.data.clone()));
-                frame.dirty = false;
-                frame.flushing = true;
-            }
+            shard.frames.for_each_mut(|id, frame| {
+                if frame.dirty {
+                    dirty.push((id, frame.data.clone()));
+                    frame.dirty = false;
+                    frame.flushing = true;
+                }
+            });
         }
+        dirty.sort_unstable_by_key(|&(id, _)| id);
         if dirty.is_empty() {
             return Ok(());
         }
@@ -522,7 +694,7 @@ impl<S: BlockStore> ShardedBufferPool<S> {
         let mut shard = slot.state.lock().unwrap();
         for (k, (id, _)) in dirty.iter().enumerate() {
             // Only a concurrent `clear` removes a pinned frame.
-            if let Some(frame) = shard.frames.get_mut(id) {
+            if let Some(frame) = shard.frames.get_mut(*id) {
                 frame.flushing = false;
                 if k >= written {
                     frame.dirty = true;
@@ -543,10 +715,25 @@ impl<S: BlockStore> ShardedBufferPool<S> {
 
     /// Flushes and drops every cached block (a "cold cache" reset between
     /// experiment phases).
+    ///
+    /// Under each shard lock only clean, unpinned frames are dropped: a
+    /// frame dirtied after its shard was flushed (or one a concurrent
+    /// flush is still writing) stays, and the flush repeats until a pass
+    /// finds no such frame, so a write racing the reset is never lost.
     pub fn clear(&self) {
-        self.flush();
-        for slot in &self.shards {
-            slot.state.lock().unwrap().frames.clear();
+        loop {
+            self.flush();
+            let mut kept = false;
+            for slot in &self.shards {
+                slot.state.lock().unwrap().frames.retain(|fr| {
+                    let keep = fr.dirty || fr.flushing;
+                    kept |= keep;
+                    keep
+                });
+            }
+            if !kept {
+                return;
+            }
         }
     }
 
@@ -1232,54 +1419,109 @@ mod tests {
         assert_eq!(buf[0], 8.0);
     }
 
-    #[test]
-    fn a_frame_being_flushed_is_not_evicted() {
-        use std::sync::mpsc;
+    /// A store whose writes of block 0 announce themselves on `entered`,
+    /// wait for a go-ahead on `release`, then fail when `fail` is set:
+    /// a test holds a flush mid-write while other threads use the pool.
+    struct GatedWrite {
+        inner: MemBlockStore,
+        fail: bool,
+        entered: std::sync::mpsc::Sender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
 
-        // Writing block 0 announces itself, waits for a go-ahead, then
-        // fails: the flush is held mid-write while another thread misses.
-        struct GatedFailingWrite {
-            inner: MemBlockStore,
-            entered: mpsc::Sender<()>,
-            release: Mutex<mpsc::Receiver<()>>,
+    impl BlockStore for GatedWrite {
+        fn block_capacity(&self) -> usize {
+            self.inner.block_capacity()
         }
-        impl BlockStore for GatedFailingWrite {
-            fn block_capacity(&self) -> usize {
-                self.inner.block_capacity()
-            }
-            fn num_blocks(&self) -> usize {
-                self.inner.num_blocks()
-            }
-            fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
-                self.inner.try_read_block(id, buf)
-            }
-            fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
-                if id != 0 {
-                    return self.inner.try_write_block(id, buf);
-                }
+        fn num_blocks(&self) -> usize {
+            self.inner.num_blocks()
+        }
+        fn try_read_block(&mut self, id: usize, buf: &mut [f64]) -> Result<(), StorageError> {
+            self.inner.try_read_block(id, buf)
+        }
+        fn try_write_block(&mut self, id: usize, buf: &[f64]) -> Result<(), StorageError> {
+            if id == 0 {
                 self.entered.send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
-                Err(StorageError::Injected {
-                    op: "write",
-                    block: 0,
-                })
+                if self.fail {
+                    return Err(StorageError::Injected {
+                        op: "write",
+                        block: 0,
+                    });
+                }
             }
-            fn grow(&mut self, blocks: usize) {
-                self.inner.grow(blocks);
-            }
+            self.inner.try_write_block(id, buf)
         }
+        fn grow(&mut self, blocks: usize) {
+            self.inner.grow(blocks);
+        }
+    }
 
-        let (entered_tx, entered) = mpsc::channel();
-        let (release, release_rx) = mpsc::channel();
+    /// A one-shard pool of `budget` frames over a [`GatedWrite`] store,
+    /// with the test's ends of its two channels.
+    fn gated_pool(
+        budget: usize,
+        fail: bool,
+    ) -> (
+        ShardedBufferPool<GatedWrite>,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::Sender<()>,
+    ) {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
         let stats = IoStats::new();
-        let store = GatedFailingWrite {
+        let store = GatedWrite {
             inner: MemBlockStore::new(4, 4, stats.clone()),
+            fail,
             entered: entered_tx,
             release: Mutex::new(release_rx),
         };
+        (
+            ShardedBufferPool::new(store, budget, 1, stats),
+            entered,
+            release,
+        )
+    }
+
+    #[test]
+    fn a_failed_write_back_keeps_the_victim_order() {
+        let stats = IoStats::new();
+        let failing = Arc::new(AtomicBool::new(true));
+        let store = FailingBlockZero {
+            inner: MemBlockStore::new(4, 8, stats.clone()),
+            reads: false,
+            writes: Arc::clone(&failing),
+        };
+        let p = ShardedBufferPool::new(store, 3, 1, stats.clone());
+        p.write(0, 0, 5.0);
+        p.write(1, 0, 6.0);
+        p.read(2, 0); // recency, least recent first: 0, 1, 2
+        let err = typed_failure(|| p.read(3, 0));
+        assert!(matches!(err, StorageError::Injected { block: 0, .. }));
+        // Block 0 went back as the least recent frame: once the device
+        // heals, the next two misses evict 0 and then 1, writing both.
+        failing.store(false, Ordering::Relaxed);
+        p.read(3, 0);
+        assert_eq!(stats.snapshot().block_writes, 1);
+        p.read(4, 0);
+        assert_eq!(stats.snapshot().block_writes, 2);
+        let reads = stats.snapshot().block_reads;
+        for id in 2..5 {
+            p.read(id, 0);
+        }
+        assert_eq!(
+            stats.snapshot().block_reads,
+            reads,
+            "2, 3 and 4 stay cached"
+        );
+        assert_eq!((p.read(0, 0), p.read(1, 0)), (5.0, 6.0));
+    }
+
+    #[test]
+    fn a_frame_being_flushed_is_not_evicted() {
         // One frame: the miss on block 1 must evict, and block 0 is the
         // only candidate while the flush is writing it.
-        let p = ShardedBufferPool::new(store, 1, 1, stats);
+        let (p, entered, release) = gated_pool(1, true);
         p.write(0, 0, 5.0);
         std::thread::scope(|scope| {
             let flush = scope.spawn(|| typed_failure(|| p.flush()));
@@ -1296,5 +1538,24 @@ mod tests {
         });
         // The failed flush left block 0 cached and dirty, not dropped.
         assert_eq!(p.read(0, 0), 5.0);
+    }
+
+    #[test]
+    fn clear_never_drops_a_write_made_during_its_flush() {
+        let (p, entered, release) = gated_pool(4, false);
+        assert_eq!(p.read(2, 0), 0.0); // block 2 cached clean
+        p.write(0, 0, 1.0); // block 0 cached dirty
+        std::thread::scope(|scope| {
+            let clear = scope.spawn(|| p.clear());
+            // The clear's flush is now holding its write of block 0.
+            entered.recv().unwrap();
+            // A hit on block 2, after the flush copied the shard's dirty
+            // frames: only the next flush pass can write it.
+            scope.spawn(|| p.write(2, 0, 7.0)).join().unwrap();
+            release.send(()).unwrap();
+            clear.join().unwrap();
+        });
+        assert_eq!(p.read(2, 0), 7.0, "the write made during clear() survives");
+        assert_eq!(p.read(0, 0), 1.0);
     }
 }

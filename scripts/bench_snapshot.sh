@@ -14,7 +14,10 @@
 # hot-kernel layer (the exp_simd kernel-vs-naive sweep run under both
 # the scalar and, when a nightly toolchain is present, SIMD builds) and
 # BENCH_shard.json for the scatter-gather router (the exp_shard shards ×
-# replicas × clients sweep against real shard servers, same row format).
+# replicas × clients sweep against real shard servers, same row format)
+# and BENCH_pool.json for the buffer pool's per-access cost (the exp_pool
+# hit/miss × frames sweep, same row format; the run fails unless the miss
+# cost is flat in the budget).
 #
 # The criterion-shim prints one `group/name   <ns> ns/iter` line per
 # benchmark; this script captures those into a small JSON document.
@@ -107,3 +110,10 @@ SS_EXP_JSON="$shard_out.tmp" cargo run --release -q -p ss-bench --bin exp_shard
 ./scripts/check_metrics_schema rows "$shard_out.tmp"
 mv "$shard_out.tmp" "$shard_out"
 echo "wrote $shard_out"
+
+pool_out="${9:-BENCH_pool.json}"
+rm -f "$pool_out.tmp"
+SS_EXP_JSON="$pool_out.tmp" cargo run --release -q -p ss-bench --bin exp_pool
+./scripts/check_metrics_schema rows "$pool_out.tmp"
+mv "$pool_out.tmp" "$pool_out"
+echo "wrote $pool_out"
