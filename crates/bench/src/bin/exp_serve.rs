@@ -5,23 +5,27 @@
 //! a [`ThrottledBlockStore`] emulating a device with 200 µs per-block read
 //! latency and internal parallelism (shared positional reads), cached by a
 //! sharded pool far smaller than the tile count so misses dominate. For
-//! every (executor workers × closed-loop clients × `batch_max`)
+//! every (execution slots × closed-loop clients × `batch_max`)
 //! combination the sweep runs a fixed per-client mix of point and
 //! range-sum queries through the real TCP server and reports wall time,
-//! throughput, mean executor batch size and the pool hit rate.
+//! throughput, mean batch size and the pool hit rate.
 //!
-//! Two effects are on display:
+//! The server runs each connection to completion: a batch holds the
+//! requests one connection has pipelined, and `workers` execution slots
+//! bound how many batches run at once. Two effects are on display:
 //!
-//! * **worker overlap** — with several clients in flight, executor workers
-//!   overlap their miss sleeps under the pool's read lock, so throughput
-//!   scales with workers even on a single CPU (the sleeps, not the CPU,
-//!   are the bottleneck);
-//! * **tile-major batching** — each executor sweep answers every pending
-//!   request that wants a hot tile from one fetch, visible as mean batch
-//!   sizes above 1 once clients outnumber workers.
+//! * **slot overlap** — with several clients in flight, batches on
+//!   different slots overlap their miss sleeps under the pool's read
+//!   lock, so throughput scales with slots even on a single CPU (the
+//!   sleeps, not the CPU, are the bottleneck);
+//! * **no cross-client batching** — a closed-loop client keeps one
+//!   request in flight, so every batch holds one request (mean batch
+//!   1.0) and clients beyond the slot count wait for a slot instead of
+//!   sharing a tile-major sweep. That is the price of dropping the shared
+//!   queue, and the table shows it.
 //!
 //! With one client there is exactly one request in flight and extra
-//! workers cannot help; the table says so instead of pretending.
+//! slots cannot help; the table says so instead of pretending.
 
 use ss_array::{MultiIndexIter, NdArray, Shape};
 use ss_bench::{emit_json_row, fmt_f, timed_ms, Table};
@@ -190,7 +194,7 @@ fn main() {
     };
     let speedup = at(4, 8, 4) / at(1, 8, 4);
     println!(
-        "4-worker vs 1-worker speedup at 8 clients (batch_max 4): {}x",
+        "4-slot vs 1-slot speedup at 8 clients (batch_max 4): {}x",
         fmt_f(speedup, 2)
     );
     let batch_gain = at(4, 8, 16) / at(4, 8, 1);

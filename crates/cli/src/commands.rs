@@ -852,10 +852,10 @@ pub fn serve_metrics(args: &Args) -> Result<(), String> {
 ///
 /// Serves standard-form point and range-sum queries against the store over
 /// plain TCP (line-delimited JSON; see the `ss-serve` crate docs for the
-/// wire format). The store is re-housed in the sharded thread-safe pool and
-/// answered by `W` executor workers that batch up to `B` concurrently
-/// pending requests tile-major, so a hot tile wanted by several clients at
-/// once is fetched once. `--port 0` (the default) picks an ephemeral port —
+/// wire format). The store is re-housed in the sharded thread-safe pool;
+/// each connection runs up to `B` of its pipelined requests as one
+/// tile-major batch, so a hot tile several of them want is fetched once,
+/// and at most `W` batches run at once. `--port 0` (the default) picks an ephemeral port —
 /// printed on stdout and, with `--addr-file`, written to a file scripts can
 /// poll; `--requests K` exits cleanly after K responses (without it the
 /// server runs until killed).
@@ -1011,10 +1011,9 @@ pub fn serve(args: &Args) -> Result<(), String> {
     println!("served {served} responses");
     if let Some(snap) = snapshot {
         // Clean shutdown: fold every published epoch into the store
-        // (flush + fsync) and truncate the WAL. Goes through the Arc —
-        // detached connection threads may still hold clones until their
-        // clients hang up. The executors are joined, so no pins remain
-        // and the checkpoint retry loop terminates.
+        // (flush + fsync) and truncate the WAL. Every server thread is
+        // joined, so no pins remain and the checkpoint retry loop
+        // terminates.
         while !snap.checkpoint().map_err(|e| e.to_string())? {
             std::thread::yield_now();
         }

@@ -24,6 +24,7 @@
 use crate::buffer::{DeltaBuffer, FlushReport};
 use crate::wal::{Wal, WalRecord, WalTile};
 use ss_core::TilingMap;
+use ss_obs::{Counter, Gauge, Histogram};
 use ss_storage::{BlockStore, CoeffRead, SharedCoeffStore, StorageError};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -50,6 +51,39 @@ struct WriterState {
     versions: VecDeque<Arc<Version>>,
 }
 
+/// The store's registry handles, resolved once at construction so pins
+/// and commits take no registry lock.
+struct Metrics {
+    pins: Counter,
+    commits: Counter,
+    folds: Counter,
+    epoch: Gauge,
+    live_versions: Gauge,
+    commit_ns: Histogram,
+    boxes_buffered: Counter,
+    deltas_buffered: Counter,
+    tiles_written: Counter,
+    tile_touches: Counter,
+}
+
+impl Metrics {
+    fn resolve() -> Metrics {
+        let g = ss_obs::global();
+        Metrics {
+            pins: g.counter("snapshot.pins"),
+            commits: g.counter("snapshot.commits"),
+            folds: g.counter("snapshot.folds"),
+            epoch: g.gauge("snapshot.epoch"),
+            live_versions: g.gauge("snapshot.live_versions"),
+            commit_ns: g.histogram("snapshot.commit_ns"),
+            boxes_buffered: g.counter("maintain.boxes_buffered"),
+            deltas_buffered: g.counter("maintain.deltas_buffered"),
+            tiles_written: g.counter("maintain.tiles_written"),
+            tile_touches: g.counter("maintain.tile_touches"),
+        }
+    }
+}
+
 /// An epoch-versioned MVCC wrapper over [`SharedCoeffStore`]: concurrent
 /// snapshot reads, group-committed writes, WAL-backed durability.
 pub struct SnapshotCoeffStore<M: TilingMap, S: BlockStore> {
@@ -59,6 +93,7 @@ pub struct SnapshotCoeffStore<M: TilingMap, S: BlockStore> {
     current: Mutex<Arc<Version>>,
     writer: Mutex<WriterState>,
     epoch: AtomicU64,
+    metrics: Metrics,
 }
 
 impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
@@ -79,6 +114,7 @@ impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
             current: Mutex::new(v0),
             writer: Mutex::new(WriterState { wal, versions }),
             epoch: AtomicU64::new(start_epoch),
+            metrics: Metrics::resolve(),
         }
     }
 
@@ -108,8 +144,7 @@ impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
         let version = Arc::clone(&guard);
         version.readers.fetch_add(1, Ordering::AcqRel);
         drop(guard);
-        let g = ss_obs::global();
-        g.counter("snapshot.pins").inc();
+        self.metrics.pins.inc();
         PinnedSnapshot {
             store: self,
             version,
@@ -170,17 +205,15 @@ impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
         });
         // Retire versions that drained while we were committing.
         Self::retire_drained(&mut writer.versions);
-        let g = ss_obs::global();
-        g.counter("snapshot.commits").inc();
-        g.gauge("snapshot.epoch").set(epoch);
-        g.gauge("snapshot.live_versions")
-            .set(writer.versions.len() as u64);
-        g.counter("maintain.boxes_buffered").add(report.boxes);
-        g.counter("maintain.deltas_buffered").add(report.deltas);
-        g.counter("maintain.tiles_written")
-            .add(report.tiles_written);
-        g.counter("maintain.tile_touches").add(report.tile_touches);
-        g.histogram("snapshot.commit_ns").record(sw.lap_ns());
+        let m = &self.metrics;
+        m.commits.inc();
+        m.epoch.set(epoch);
+        m.live_versions.set(writer.versions.len() as u64);
+        m.boxes_buffered.add(report.boxes);
+        m.deltas_buffered.add(report.deltas);
+        m.tiles_written.add(report.tiles_written);
+        m.tile_touches.add(report.tile_touches);
+        m.commit_ns.record(sw.lap_ns());
         Ok((epoch, report))
     }
 
@@ -250,10 +283,8 @@ impl<M: TilingMap, S: BlockStore> SnapshotCoeffStore<M, S> {
         }
         writer.versions.push_back(fresh);
         ss_obs::trace::pipeline_event(ss_obs::TraceEventKind::Checkpoint { epoch: cur.epoch });
-        let g = ss_obs::global();
-        g.counter("snapshot.folds").inc();
-        g.gauge("snapshot.live_versions")
-            .set(writer.versions.len() as u64);
+        self.metrics.folds.inc();
+        self.metrics.live_versions.set(writer.versions.len() as u64);
         Ok(true)
     }
 

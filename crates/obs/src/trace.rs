@@ -17,9 +17,9 @@
 //! the recording thread. The current span travels in a thread-local
 //! ([`enter`], [`scoped`]) so deep layers — the buffer pool, the WAL,
 //! the retry wrapper — can attribute events without threading context
-//! through every signature. Spans that migrate across threads (a serve
-//! request begins on the connection reader and ends on an executor)
-//! carry their [`SpanCtx`] by value instead.
+//! through every signature. A span that must outlive its scope (a serve
+//! request's root, closed once its reply is written) is carried as a
+//! [`SpanCtx`] value instead.
 //!
 //! # Storage and export
 //!

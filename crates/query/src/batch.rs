@@ -12,6 +12,7 @@
 use ss_core::{reconstruct, TilingMap};
 use ss_storage::CoeffRead;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Executes a batch of point queries, reading every needed tile once.
 pub fn batch_points<C: CoeffRead>(cs: &mut C, n: &[u32], positions: &[Vec<usize>]) -> Vec<f64> {
@@ -137,8 +138,9 @@ pub fn execute_plans_tiled<C: CoeffRead>(
             results[q].value += partial;
         }
     }
-    ss_obs::global()
-        .counter("query.batch_distinct_tiles")
+    static DISTINCT_TILES: OnceLock<ss_obs::Counter> = OnceLock::new();
+    DISTINCT_TILES
+        .get_or_init(|| ss_obs::global().counter("query.batch_distinct_tiles"))
         .add(distinct_tiles);
     results
 }

@@ -2,8 +2,7 @@
 //!
 //! Requests are pipelined: [`Client::run`] writes every request line, then
 //! reads exactly one response line per request and matches answers back to
-//! requests by id (the server batches across connections, so responses may
-//! return out of order).
+//! requests by id.
 
 use crate::proto::{self, Mutation, Op, Query, Response};
 use std::collections::HashMap;
@@ -137,9 +136,9 @@ impl Client {
     }
 
     /// Pipelines arbitrary operations (queries and mutations) and returns
-    /// one result per operation, in request order. Note that the *server*
-    /// answers mutations in connection order but may answer interleaved
-    /// queries out of order; results are matched back by id here.
+    /// one result per operation, in request order. The server answers a
+    /// connection's requests in arrival order, and a mutation runs after
+    /// the queries sent before it; results are matched back by id here.
     #[allow(clippy::type_complexity)]
     pub fn run_ops(
         &mut self,

@@ -5,17 +5,21 @@
 //! layer: a plain-TCP, line-delimited-JSON query server in the same
 //! std-only style as the `ss-obs` metrics server, running standard-form
 //! point and range-sum queries against a
-//! [`SharedCoeffStore`](ss_storage::SharedCoeffStore) from a fixed pool of
-//! worker threads.
+//! [`SharedCoeffStore`](ss_storage::SharedCoeffStore).
 //!
-//! What makes it more than a socket wrapper is **tile-major batching
-//! across clients**: every accepted request is planned into its Lemma 1/2
-//! contribution list up front, and each executor sweep drains a batch of
-//! concurrently pending requests and evaluates them through
-//! [`ss_query::execute_plans`] — so a hot tile demanded by many clients in
-//! the same instant is fetched once, not once per connection. Answers are
-//! bit-identical to serial execution: the evaluation order is fixed by the
-//! plans alone, and the wire format round-trips `f64` exactly.
+//! Serving is **run to completion**: each connection's thread reads,
+//! parses, plans and executes its own requests and writes the replies
+//! itself — no queue, no hand-off between threads. Every request is
+//! planned into its Lemma 1/2 contribution list, and all the complete
+//! request lines a connection has already buffered (a pipelining client,
+//! or a router's `partial` sub-batch) run as one **tile-major batch**
+//! through [`ss_query::execute_plans_tiled`], so a tile several of them
+//! need is fetched once. `workers` execution slots bound how many batches
+//! run at once. Replies come back in arrival order and are bit-identical
+//! to serial execution: the evaluation order is fixed by the plans alone,
+//! and the wire format round-trips `f64` exactly. A failed tile read
+//! answers its batch with a typed `io` error instead of taking the
+//! connection down.
 //!
 //! Live read/write serving: [`QueryServer::bind_writable`] runs the same
 //! protocol over an epoch-versioned
@@ -35,9 +39,8 @@
 //!
 //! * [`proto`] — the wire protocol: requests, typed error responses,
 //!   exact float formatting,
-//! * [`server`] — [`QueryServer`]: acceptor, per-connection reader
-//!   threads, the shared batch queue, executor pool, and budgeted clean
-//!   shutdown,
+//! * [`server`] — [`QueryServer`]: acceptor, run-to-completion
+//!   connection threads, execution slots, and budgeted clean shutdown,
 //! * [`router`] — scatter-gather fan-out, replica failover, and the
 //!   routed write path behind [`QueryServer::bind_router`],
 //! * [`client`] — [`Client`]: a small blocking, pipelining client used by
@@ -107,28 +110,6 @@ mod tests {
             shared.write(&idx, t.get(&idx));
         }
         shared
-    }
-
-    /// Unwraps the store `Arc` once the server has let go of it. The
-    /// per-connection reader threads are detached and hold a clone of
-    /// the server state (and through it, the store) until the client's
-    /// socket EOF wakes them — briefly *after* `shutdown()` returns and
-    /// the client is dropped, so the unwrap must wait them out.
-    fn unwrap_store<T>(mut store: Arc<T>) -> T {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            match Arc::try_unwrap(store) {
-                Ok(inner) => return inner,
-                Err(shared) => {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "server threads never released the store"
-                    );
-                    store = shared;
-                    std::thread::yield_now();
-                }
-            }
-        }
     }
 
     fn bind(store: SharedCoeffStore<StandardTiling, ss_storage::MemBlockStore>) -> QueryServer {
@@ -285,7 +266,9 @@ mod tests {
         assert!(err.to_string().contains("bad_request"), "{err}");
         server.shutdown();
         drop(client);
-        let store = unwrap_store(store);
+        let store = Arc::try_unwrap(store)
+            .ok()
+            .expect("server released the store");
         let (_map, _store) = store.into_parts().unwrap();
     }
 
@@ -386,7 +369,9 @@ mod tests {
         );
 
         drop(client);
-        let store = unwrap_store(store);
+        let store = Arc::try_unwrap(store)
+            .ok()
+            .expect("server released the store");
         let (_map, _store) = store.into_parts().unwrap();
     }
 
@@ -430,5 +415,266 @@ mod tests {
         }
         // The budget is reached: join returns instead of blocking.
         server.join();
+    }
+
+    /// A block store whose reads of one block fail with a typed
+    /// [`ss_storage::StorageError`], as a device error or a CRC mismatch
+    /// would.
+    struct FailingReads {
+        inner: ss_storage::MemBlockStore,
+        bad: usize,
+    }
+
+    impl ss_storage::BlockStore for FailingReads {
+        fn block_capacity(&self) -> usize {
+            self.inner.block_capacity()
+        }
+        fn num_blocks(&self) -> usize {
+            self.inner.num_blocks()
+        }
+        fn try_read_block(
+            &mut self,
+            id: usize,
+            buf: &mut [f64],
+        ) -> Result<(), ss_storage::StorageError> {
+            if id == self.bad {
+                return Err(ss_storage::StorageError::io(
+                    format!("read block {id}"),
+                    std::io::Error::other("injected device error"),
+                ));
+            }
+            self.inner.try_read_block(id, buf)
+        }
+        fn try_write_block(
+            &mut self,
+            id: usize,
+            buf: &[f64],
+        ) -> Result<(), ss_storage::StorageError> {
+            self.inner.try_write_block(id, buf)
+        }
+        fn grow(&mut self, blocks: usize) {
+            self.inner.grow(blocks)
+        }
+    }
+
+    /// Sends `line` and reads one reply line within a client timeout.
+    fn ask_within(
+        stream: &std::net::TcpStream,
+        reader: &mut std::io::BufReader<std::net::TcpStream>,
+        line: &str,
+    ) -> String {
+        use std::io::{BufRead, Write};
+        let mut writer = stream;
+        writeln!(writer, "{line}").unwrap();
+        let mut out = String::new();
+        reader
+            .read_line(&mut out)
+            .expect("the server must answer within the client read timeout");
+        out
+    }
+
+    fn timed_connection(
+        addr: std::net::SocketAddr,
+    ) -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    #[test]
+    fn failed_tile_read_answers_io_and_the_server_keeps_serving() {
+        use ss_core::TilingMap;
+        let a = test_data(32);
+        let reference = shared_store(&a, 5);
+        // The tile holding the finest detail coefficient of point
+        // (13, 7): (0, 0) and every point outside its support never
+        // touch it.
+        let bad_pos = [13usize, 7];
+        let plan = ss_core::reconstruct::standard_point_contributions(&[5, 5], &bad_pos);
+        let map = reference.map().clone();
+        let bad = plan
+            .iter()
+            .map(|(idx, _)| map.locate(idx).tile)
+            .max()
+            .unwrap();
+        let healthy = (0..32)
+            .flat_map(|x| (0..32).map(move |y| [x, y]))
+            .find(|pos| {
+                ss_core::reconstruct::standard_point_contributions(&[5, 5], pos)
+                    .iter()
+                    .all(|(idx, _)| map.locate(idx).tile != bad)
+            })
+            .expect("a point that avoids the failing tile");
+
+        // Same coefficients behind a store that cannot read `bad`.
+        let source = shared_store(&a, 5);
+        source.flush();
+        let (map, inner) = source.into_parts();
+        let store =
+            SharedCoeffStore::new(map, FailingReads { inner, bad }, 1 << 10, 4, IoStats::new());
+        let server = QueryServer::bind(
+            "127.0.0.1:0",
+            store,
+            vec![5, 5],
+            ServeConfig {
+                workers: 2,
+                batch_max: 16,
+                max_requests: None,
+                slow_ns: None,
+            },
+        )
+        .unwrap();
+        let failing = format!(
+            r#"{{"id":1,"op":"point","pos":[{},{}]}}"#,
+            bad_pos[0], bad_pos[1]
+        );
+        let ok = format!(
+            r#"{{"id":2,"op":"point","pos":[{},{}]}}"#,
+            healthy[0], healthy[1]
+        );
+        let want = {
+            let plans = vec![Query::Point {
+                pos: healthy.to_vec(),
+            }
+            .plan(&[5, 5])];
+            let mut handle = &reference;
+            ss_query::execute_plans_tiled(&mut handle, &plans)[0].value
+        };
+        let errors = ss_obs::global().counter("serve.requests_err");
+        let errors_before = errors.get();
+
+        let (stream, mut reader) = timed_connection(server.local_addr());
+        // As many failing reads as there are execution slots, and one more.
+        for _ in 0..3 {
+            let reply = ask_within(&stream, &mut reader, &failing);
+            let resp = proto::parse_response(reply.trim_end()).unwrap();
+            assert_eq!(resp.id, Some(1));
+            let (kind, message) = resp.result.unwrap_err();
+            assert_eq!(kind, "io", "{message}");
+        }
+        assert!(errors.get() - errors_before >= 3);
+        // The same connection, and a new one, still get exact answers.
+        let (fresh, mut fresh_reader) = timed_connection(server.local_addr());
+        for (s, r) in [(&stream, &mut reader), (&fresh, &mut fresh_reader)] {
+            let reply = ask_within(s, r, &ok);
+            let got = proto::parse_response(reply.trim_end()).unwrap();
+            assert_eq!(got.result.unwrap().to_bits(), want.to_bits());
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_joins_connections_that_are_still_open() {
+        use ss_maintain::SnapshotCoeffStore;
+        let a = test_data(32);
+        let store = Arc::new(SnapshotCoeffStore::new(shared_store(&a, 5), None, 0));
+        let server = QueryServer::bind_writable(
+            "127.0.0.1:0",
+            Arc::clone(&store),
+            vec![5, 5],
+            ss_maintain::FlushMode::Exact,
+            ServeConfig {
+                workers: 2,
+                batch_max: 16,
+                max_requests: None,
+                slow_ns: None,
+            },
+        )
+        .unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        assert!((client.point(&[3, 9]).unwrap() - a.get(&[3, 9])).abs() < 1e-9);
+        // The client stays connected (its thread blocked in a read)
+        // while the server shuts down.
+        server.shutdown();
+        let store = Arc::try_unwrap(store)
+            .ok()
+            .expect("shutdown returned with a connection thread still holding the store");
+        let (_map, _store) = store.into_parts().unwrap();
+        // The connection was closed, not left hanging.
+        assert!(client.point(&[3, 9]).is_err());
+    }
+
+    /// Eight concurrent clients against one execution slot: every
+    /// answer is bit-identical to the same plan executed in process.
+    fn contended_clients_get_exact_answers(
+        addr: std::net::SocketAddr,
+        reference: &SharedCoeffStore<StandardTiling, ss_storage::MemBlockStore>,
+    ) {
+        std::thread::scope(|scope| {
+            for c in 0..8usize {
+                scope.spawn(move || {
+                    let queries: Vec<Query> = (0..24)
+                        .map(|k| {
+                            let (x, y) = ((c * 11 + k * 13) % 32, (c * 7 + k * 17) % 32);
+                            if k % 3 == 0 {
+                                Query::RangeSum {
+                                    lo: vec![x.min(y), y / 2],
+                                    hi: vec![x.max(y), 31],
+                                }
+                            } else {
+                                Query::Point { pos: vec![x, y] }
+                            }
+                        })
+                        .collect();
+                    let plans: Vec<_> = queries.iter().map(|q| q.plan(&[5, 5])).collect();
+                    let mut handle = reference;
+                    let want = ss_query::execute_plans_tiled(&mut handle, &plans);
+                    let mut client = Client::connect(addr).unwrap();
+                    // Half one at a time, half pipelined.
+                    let mut got = Vec::new();
+                    for q in &queries[..12] {
+                        got.extend(client.run(std::slice::from_ref(q)).unwrap());
+                    }
+                    got.extend(client.run(&queries[12..]).unwrap());
+                    for (k, (g, w)) in got.into_iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.unwrap().to_bits(),
+                            w.value.to_bits(),
+                            "client {c} query {k}"
+                        );
+                    }
+                });
+            }
+        });
+    }
+
+    fn one_slot() -> ServeConfig {
+        ServeConfig {
+            workers: 1,
+            batch_max: 8,
+            max_requests: None,
+            slow_ns: None,
+        }
+    }
+
+    #[test]
+    fn one_slot_serves_concurrent_clients_exactly() {
+        let a = test_data(32);
+        let reference = shared_store(&a, 5);
+        let server =
+            QueryServer::bind("127.0.0.1:0", shared_store(&a, 5), vec![5, 5], one_slot()).unwrap();
+        contended_clients_get_exact_answers(server.local_addr(), &reference);
+        server.shutdown();
+    }
+
+    #[test]
+    fn one_slot_serves_concurrent_clients_exactly_when_writable() {
+        use ss_maintain::SnapshotCoeffStore;
+        let a = test_data(32);
+        let reference = shared_store(&a, 5);
+        let store = Arc::new(SnapshotCoeffStore::new(shared_store(&a, 5), None, 0));
+        let server = QueryServer::bind_writable(
+            "127.0.0.1:0",
+            store,
+            vec![5, 5],
+            ss_maintain::FlushMode::Exact,
+            one_slot(),
+        )
+        .unwrap();
+        contended_clients_get_exact_answers(server.local_addr(), &reference);
+        server.shutdown();
     }
 }

@@ -9,9 +9,8 @@
 //! ```
 //!
 //! `id` is optional; when present it is echoed verbatim in the response so
-//! pipelined clients can match answers that return out of order (batches
-//! are formed across connections, so ordering per connection is not
-//! guaranteed). Responses:
+//! pipelined clients can match answers to requests (a server answers each
+//! connection's requests in arrival order). Responses:
 //!
 //! ```json
 //! {"id": 7, "ok": true, "value": 12.5}
@@ -66,9 +65,11 @@
 //! Error kinds are closed: `parse` (not a JSON object), `unknown_op`
 //! (unrecognised `op`), `bad_request` (wrong arity or out-of-range
 //! coordinates), `read_only` (mutation sent to a read-only server), `io`
-//! (a commit failed to reach the write-ahead log), `shard_unavailable`
-//! (a router could not reach any replica of a shard a request needs — the
-//! answer would otherwise be a silent partial sum, so it is refused).
+//! (a commit failed to reach the write-ahead log, or a tile read failed
+//! while executing a query), `shard_unavailable` (a router could not reach
+//! any replica of a shard a request needs — the answer would otherwise be
+//! a silent partial sum, so it is refused), `internal` (query execution
+//! failed for any other reason; the server keeps serving).
 //!
 //! # Tracing (`trace` field)
 //!

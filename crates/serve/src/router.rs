@@ -38,15 +38,17 @@
 
 use crate::client::{Client, ClientError};
 use crate::proto::{Mutation, Op, Query, Response};
+use crate::server::{Backend, Outcome, Plan};
 use ss_core::TilingMap;
 use ss_maintain::{DeltaBuffer, FlushMode};
 use ss_obs::trace;
 use ss_obs::{Counter, Histogram};
+use ss_query::PlanTiles;
 use ss_storage::ShardMap;
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Where each shard's replicas listen: the [`ShardMap`] partition plus
 /// one address list per shard (all lists `map.replicas()` long).
@@ -91,7 +93,7 @@ impl RouterTopology {
 }
 
 /// Router-side observability (`router.*` namespace).
-pub(crate) struct RouterMetrics {
+struct RouterMetrics {
     /// Sub-requests fanned out to shard replicas (reads and writes).
     subrequests: Counter,
     /// Failed replica exchanges that moved on to another replica.
@@ -107,29 +109,20 @@ pub(crate) struct RouterMetrics {
 
 /// Shared router state: the topology, per-replica in-flight exchange
 /// counters (the read load-balancing signal), and `router.*` metrics.
-/// Connections are deliberately **not** here — each executor worker
+/// Connections are deliberately **not** here — each execution slot
 /// keeps its own connection cache so the fan-out path takes no lock.
-pub(crate) struct RouterCore {
-    pub(crate) topo: RouterTopology,
+struct RouterCore {
+    topo: RouterTopology,
     in_flight: Vec<Vec<AtomicUsize>>,
     metrics: RouterMetrics,
 }
 
-/// One routed request's outcome: the exact merged value plus the
-/// per-tile partials (forwarded upstream when the request itself was a
-/// `partial` sub-plan), or a typed protocol error.
-pub(crate) type RoutedOutcome = Result<(f64, Vec<(usize, f64)>), (String, String)>;
-
-/// A worker-local cache of open shard connections, keyed by
+/// A slot-local cache of open shard connections, keyed by
 /// `(shard, replica)`. Dropped entries reconnect on next use.
-pub(crate) type ConnCache = HashMap<(usize, usize), Client>;
-
-/// One request's routed job: its contribution plan (`(position, weight)`
-/// terms) plus the trace id to forward to the owning shards.
-pub(crate) type RoutedJob = (Vec<(Vec<usize>, f64)>, Option<u64>);
+type ConnCache = HashMap<(usize, usize), Client>;
 
 impl RouterCore {
-    pub(crate) fn new(topo: RouterTopology) -> RouterCore {
+    fn new(topo: RouterTopology) -> RouterCore {
         let r = ss_obs::global();
         r.gauge("router.shards").set(topo.map.shards() as u64);
         r.gauge("router.replicas").set(topo.map.replicas() as u64);
@@ -270,22 +263,27 @@ struct Pending {
 /// Executes one batch of planned requests by scatter-gather: split each
 /// plan by owning shard, fan `partial` sub-requests out (all sends
 /// before any read), fail over across replicas, and merge the per-tile
-/// partials back in ascending tile order. `jobs` carries each request's
-/// contribution plan plus the trace id to forward (so shard-side spans
-/// land under the originating request's trace).
-pub(crate) fn execute_routed<M: TilingMap>(
+/// partials back in ascending tile order. `traces[j]` is the trace id
+/// forwarded with plan `j`'s sub-requests, so shard-side spans land
+/// under the originating request's trace. Appends one outcome per plan
+/// to `out`: the exact merged value plus the per-tile partials
+/// (forwarded upstream when the request itself was a `partial`
+/// sub-plan), or a typed protocol error.
+fn execute_routed<M: TilingMap>(
     core: &RouterCore,
     tiling: &M,
     conns: &mut ConnCache,
-    jobs: &[RoutedJob],
-) -> Vec<RoutedOutcome> {
+    plans: &[Plan],
+    traces: &[Option<u64>],
+    out: &mut Vec<Outcome>,
+) {
     // --- Split every plan by owning shard. BTreeMaps keep both the
     // per-job shard lists and the fan-out itself in ascending shard
     // order, which the exact merge below relies on.
     let map = &core.topo.map;
     let mut sub: BTreeMap<usize, ShardBatch> = BTreeMap::new();
-    let mut touched: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
-    for (j, (plan, fwd_trace)) in jobs.iter().enumerate() {
+    let mut touched: Vec<Vec<usize>> = vec![Vec::new(); plans.len()];
+    for (j, (plan, fwd_trace)) in plans.iter().zip(traces).enumerate() {
         let mut by_shard: BTreeMap<usize, Vec<(Vec<usize>, f64)>> = BTreeMap::new();
         for (idx, w) in plan {
             let shard = map.owner(tiling.locate(idx).tile);
@@ -378,7 +376,6 @@ pub(crate) fn execute_routed<M: TilingMap>(
     // are contiguous) and fold them left from 0.0 — the same addition
     // tree `execute_plans_tiled` builds on a single store, hence
     // bit-identical for every shard count.
-    let mut out: Vec<RoutedOutcome> = Vec::with_capacity(jobs.len());
     for (j, shards) in touched.iter().enumerate() {
         let mut value = 0.0f64;
         let mut tiles: Vec<(usize, f64)> = Vec::new();
@@ -418,10 +415,9 @@ pub(crate) fn execute_routed<M: TilingMap>(
         }
         out.push(match error {
             Some(e) => Err(e),
-            None => Ok((value, tiles)),
+            None => Ok(PlanTiles { value, tiles }),
         });
     }
-    out
 }
 
 /// The router's write path: boxes are decomposed **once** at the router
@@ -429,10 +425,11 @@ pub(crate) fn execute_routed<M: TilingMap>(
 /// dirty-tile op lists to the owning shards as `apply` sub-requests,
 /// and fans a `commit` to every replica of every shard. One mutex over
 /// `{buffer, connections}` serialises commits against updates, exactly
-/// like the single-store writable backend.
+/// like the single-store writable backend. Reads go through the
+/// [`Backend`] impl, one connection cache per execution slot.
 pub(crate) struct RouterBackend<M: TilingMap> {
-    core: Arc<RouterCore>,
-    tiling: Arc<M>,
+    core: RouterCore,
+    tiling: M,
     levels: Vec<u32>,
     write: Mutex<WriteState>,
 }
@@ -444,14 +441,14 @@ struct WriteState {
 
 impl<M: TilingMap> RouterBackend<M> {
     pub(crate) fn new(
-        core: Arc<RouterCore>,
-        tiling: Arc<M>,
+        topology: RouterTopology,
+        tiling: M,
         levels: Vec<u32>,
         flush_mode: FlushMode,
     ) -> RouterBackend<M> {
-        let buffer = DeltaBuffer::for_map(&*tiling, flush_mode);
+        let buffer = DeltaBuffer::for_map(&tiling, flush_mode);
         RouterBackend {
-            core,
+            core: RouterCore::new(topology),
             tiling,
             levels,
             write: Mutex::new(WriteState {
@@ -514,6 +511,28 @@ impl<M: TilingMap> RouterBackend<M> {
     }
 }
 
+impl<M> Backend for RouterBackend<M>
+where
+    M: TilingMap + Send + Sync + 'static,
+{
+    type Slot = ConnCache;
+    const SPAN: &'static str = "router.fanout";
+
+    fn slot(&self) -> ConnCache {
+        ConnCache::new()
+    }
+
+    fn execute(
+        &self,
+        conns: &mut ConnCache,
+        plans: &[Plan],
+        traces: &[Option<u64>],
+        out: &mut Vec<Outcome>,
+    ) {
+        execute_routed(&self.core, &self.tiling, conns, plans, traces, out);
+    }
+}
+
 impl<M> crate::server::Mutator for RouterBackend<M>
 where
     M: TilingMap + Send + Sync,
@@ -530,7 +549,7 @@ where
         buffer.begin_box();
         let report =
             ss_transform::for_each_box_delta_standard(&self.levels, at, &delta, |idx, d| {
-                buffer.add_at(&*self.tiling, idx, d);
+                buffer.add_at(&self.tiling, idx, d);
             });
         Ok(report.coeffs_touched as f64)
     }

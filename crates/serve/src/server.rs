@@ -1,88 +1,78 @@
 //! The concurrent query server.
 //!
-//! Thread layout:
+//! Thread layout — **run to completion**:
 //!
-//! * one **acceptor** thread owns the listener and spawns a reader/writer
-//!   thread pair per connection,
-//! * per-connection **readers** parse and validate each line immediately
-//!   (errors are answered right away with a typed response) and push valid
-//!   requests — already planned into contribution lists — onto one shared
-//!   queue,
-//! * a fixed pool of **executor** workers drains up to
-//!   [`ServeConfig::batch_max`] pending requests per sweep and evaluates
-//!   them **tile-major** through [`ss_query::execute_plans`]: requests that
-//!   arrived concurrently from different clients share one fetch of every
-//!   hot tile.
+//! * one **acceptor** thread owns the listener and spawns one thread per
+//!   connection,
+//! * each **connection** thread does all of its requests' work itself: it
+//!   reads a line, parses, validates and plans it, then takes every
+//!   further complete line already sitting in its read buffer (up to
+//!   [`ServeConfig::batch_max`]) and executes the planned queries as one
+//!   tile-major batch through the server's `Backend`. A pipelining
+//!   client — or a router's `partial` sub-batch — therefore shares one
+//!   fetch of every hot tile. Replies go out in arrival order, all of a
+//!   run's replies in one buffered `write`.
 //!
-//! Replies are written straight to the socket under a per-connection
-//! mutex (shared by the executors and the reader's error path), not
-//! queued to a writer thread: a response must be **on the wire before it
-//! is counted** against the request budget, or a budgeted server could
-//! stop — and its process exit — with the final answer still buffered,
-//! handing that client an EOF.
+//! [`ServeConfig::workers`] is the number of **execution slots**: a
+//! connection checks one out for each batch and waits only when every
+//! slot is busy, so at most `workers` batches touch the store (or, on a
+//! router, the shard fleet — each router slot owns its own shard
+//! connections) at once. Invalid lines are answered with a typed error
+//! without touching a slot.
+//!
+//! A reply is **on the wire before it is counted** against the request
+//! budget, so a budgeted server never stops — and its process never
+//! exits — with a final answer still unsent.
+//!
+//! A batch runs under `catch_unwind`: a failed tile read (the typed
+//! [`StorageError`] panic of a block store) answers every request of the
+//! batch with the `io` error kind, any other panic with `internal`; the
+//! connection and its execution slot stay in service.
 //!
 //! Shutdown mirrors [`ss_obs`]'s metrics server: a stop flag plus a
-//! throwaway self-connection to unblock `accept`. A request budget
+//! throwaway self-connection to unblock `accept`. Every connection's
+//! socket is then shut down, so blocked reads return, and every
+//! connection thread is joined before [`QueryServer::shutdown`] or
+//! [`QueryServer::join`] returns. A request budget
 //! ([`ServeConfig::max_requests`]) triggers the same path once enough
-//! responses have been written, which is how tests and CI smoke runs get a
-//! bounded, clean exit; pending queued requests are still answered before
-//! the workers park.
+//! responses have been written, which is how tests and CI smoke runs get
+//! a bounded, clean exit.
 //!
 //! # Writable serving
 //!
 //! [`QueryServer::bind_writable`] serves the same protocol over a
 //! [`SnapshotCoeffStore`] and additionally accepts `update` / `commit`
-//! mutations. Mutations are handled **synchronously on the connection
-//! reader** (buffering deltas is cheap and commits must be ordered with
-//! the requests around them on the same connection): `update` runs the
-//! SHIFT-SPLIT decomposition into a shared [`DeltaBuffer`], `commit`
-//! group-commits the buffer as the next epoch through the snapshot
-//! store's WAL-backed commit path. Query batches pin one snapshot for the
-//! whole batch, so a batch never observes a half-published epoch, and any
-//! query parsed after a commit's response pins an epoch at least as new
-//! (read-your-writes).
+//! mutations. A mutation ends its connection's run: the queries read
+//! before it execute first, then `update` runs the SHIFT-SPLIT
+//! decomposition into a shared [`DeltaBuffer`] or `commit` group-commits
+//! the buffer as the next epoch through the snapshot store's WAL-backed
+//! commit path, and the replies are written before the next line is
+//! read. Query batches pin one snapshot for the whole batch, so a batch
+//! never observes a half-published epoch, and any query read after a
+//! commit's response pins an epoch at least as new (read-your-writes).
 
 use crate::proto::{self, Mutation, Op, Request, RequestError};
-use crate::router::{self, ConnCache, RoutedOutcome, RouterBackend, RouterCore, RouterTopology};
+use crate::router::{RouterBackend, RouterTopology};
 use ss_core::TilingMap;
 use ss_maintain::{DeltaBuffer, FlushMode, SnapshotCoeffStore};
 use ss_obs::trace::{self, SpanCtx, TraceEventKind};
 use ss_obs::{Counter, Histogram};
-use ss_storage::{BlockStore, SharedCoeffStore};
-use std::collections::VecDeque;
+use ss_query::PlanTiles;
+use ss_storage::{BlockStore, CoeffRead, SharedCoeffStore, StorageError};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One connection's outbound socket half. Executors and the owning
-/// reader's error path write whole response lines under the mutex, so
-/// replies from different sources interleave safely — and synchronously:
-/// by the time the sender counts the reply toward the request budget,
-/// the bytes have already been handed to the kernel. Write errors are
-/// ignored (the client hung up; its reader thread is winding down too).
-struct ReplyLine {
-    out: Mutex<TcpStream>,
-}
-
-impl ReplyLine {
-    fn send(&self, line: &str) {
-        let mut out = self.out.lock().unwrap();
-        let _ = out
-            .write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
-            .and_then(|()| out.flush());
-    }
-}
-
 /// Server sizing and lifetime knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Executor worker threads draining the shared queue.
+    /// Execution slots: how many query batches run at once.
     pub workers: usize,
-    /// Most requests one executor sweep batches together.
+    /// Most requests one connection batches together.
     pub batch_max: usize,
     /// Stop after this many responses (`None` = serve forever).
     pub max_requests: Option<u64>,
@@ -103,27 +93,74 @@ impl Default for ServeConfig {
     }
 }
 
-/// One planned request waiting for an executor.
-struct Job {
-    id: Option<i128>,
-    plan: Vec<(Vec<usize>, f64)>,
-    reply: Arc<ReplyLine>,
-    enqueued: Instant,
-    /// The request's root trace span (inert when untraced), opened on
-    /// the connection reader and closed after the reply is sent.
-    root: SpanCtx,
-    /// Whether the reply must carry the per-tile partial decomposition
-    /// (`partial` sub-plans from an upstream router).
-    wants_tiles: bool,
+/// A query's contribution list: `(coefficient index, weight)` terms.
+pub(crate) type Plan = Vec<(Vec<usize>, f64)>;
+
+/// One executed plan: its answer with the per-tile partials, or a typed
+/// protocol error `(kind, message)`.
+pub(crate) type Outcome = Result<PlanTiles, (String, String)>;
+
+/// What a server executes its query batches against: a batch of plans
+/// in, one answer with per-tile partials (or a typed error) per plan out.
+pub(crate) trait Backend: Send + Sync + 'static {
+    /// State owned by one execution slot (a router's shard connections).
+    type Slot: Send;
+    /// The span covering one batch's execution.
+    const SPAN: &'static str = "serve.exec";
+
+    /// A fresh slot.
+    fn slot(&self) -> Self::Slot;
+
+    /// Appends one outcome per plan to `out`, in plan order. `traces[i]`
+    /// is plan `i`'s trace id, forwarded by backends that call further
+    /// servers. Answers are bit-identical to serial execution because
+    /// the evaluation order is fixed by the plans alone (see
+    /// [`ss_query::execute_plans_tiled`]).
+    fn execute(
+        &self,
+        slot: &mut Self::Slot,
+        plans: &[Plan],
+        traces: &[Option<u64>],
+        out: &mut Vec<Outcome>,
+    );
 }
 
-/// The per-request part of a [`Job`] that survives into the answer path.
-struct Route {
-    id: Option<i128>,
-    reply: Arc<ReplyLine>,
-    enqueued: Instant,
-    root: SpanCtx,
-    wants_tiles: bool,
+impl<M, S> Backend for SharedCoeffStore<M, S>
+where
+    M: TilingMap + 'static,
+    S: BlockStore + Send + Sync + 'static,
+{
+    type Slot = ();
+
+    fn slot(&self) {}
+
+    fn execute(&self, _: &mut (), plans: &[Plan], _: &[Option<u64>], out: &mut Vec<Outcome>) {
+        execute_local(self, plans, out);
+    }
+}
+
+impl<M, S> Backend for SnapshotCoeffStore<M, S>
+where
+    M: TilingMap + 'static,
+    S: BlockStore + Send + Sync + 'static,
+{
+    type Slot = ();
+
+    fn slot(&self) {}
+
+    /// Pins one epoch for the whole batch: no batch sees a half-published
+    /// commit, and a batch read after a commit's reply sees that commit.
+    fn execute(&self, _: &mut (), plans: &[Plan], _: &[Option<u64>], out: &mut Vec<Outcome>) {
+        execute_local(&self.pin(), plans, out);
+    }
+}
+
+fn execute_local<C: CoeffRead>(mut store: C, plans: &[Plan], out: &mut Vec<Outcome>) {
+    out.extend(
+        ss_query::execute_plans_tiled(&mut store, plans)
+            .into_iter()
+            .map(Ok),
+    );
 }
 
 /// Type-erased mutation sink, so [`State`] stays non-generic. `Ok`
@@ -219,10 +256,8 @@ impl Metrics {
     }
 }
 
-/// State shared by the acceptor, readers and executors.
+/// State shared by the acceptor and the connection threads.
 struct State {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
     stop: AtomicBool,
     answered: AtomicU64,
     max_requests: Option<u64>,
@@ -234,6 +269,9 @@ struct State {
     slow_ns: Option<u64>,
     /// `Some` on writable servers; `None` rejects mutations as `read_only`.
     mutator: Option<Arc<dyn Mutator>>,
+    /// Every live connection: a handle on its socket (shut down on stop,
+    /// so a blocked read returns) and its thread.
+    conns: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
 }
 
 impl State {
@@ -265,11 +303,11 @@ impl State {
         );
     }
 
-    /// Counts one written response; reaching the budget triggers stop.
-    fn count_reply(&self) {
-        let n = self.answered.fetch_add(1, Ordering::AcqRel) + 1;
+    /// Counts `n` written responses; reaching the budget triggers stop.
+    fn count_replies(&self, n: u64) {
+        let total = self.answered.fetch_add(n, Ordering::AcqRel) + n;
         if let Some(max) = self.max_requests {
-            if n >= max {
+            if total >= max {
                 self.trigger_stop();
             }
         }
@@ -277,13 +315,6 @@ impl State {
 
     fn trigger_stop(&self) {
         self.stop.store(true, Ordering::Release);
-        // An executor holds the queue lock from its `stopped()` check
-        // until its wait releases it. Taking the lock here puts this
-        // wake-up after that wait begins; notifying without it can fall
-        // in the gap, be lost, and leave the executor asleep through
-        // shutdown (the join then hangs).
-        drop(self.queue.lock().unwrap_or_else(|p| p.into_inner()));
-        self.available.notify_all();
         // Unblock accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
     }
@@ -293,15 +324,52 @@ impl State {
     }
 }
 
+/// The slot and connection lists are locked only to push, pop or swap,
+/// which cannot panic, so their mutexes are never poisoned.
+const UNPOISONED: &str = "lock held only across non-panicking list updates";
+
+/// A backend plus its pool of execution slots.
+struct Exec<B: Backend> {
+    backend: Arc<B>,
+    free: Mutex<Vec<B::Slot>>,
+    returned: Condvar,
+}
+
+impl<B: Backend> Exec<B> {
+    fn new(backend: Arc<B>, slots: usize) -> Exec<B> {
+        let free = (0..slots).map(|_| backend.slot()).collect();
+        Exec {
+            backend,
+            free: Mutex::new(free),
+            returned: Condvar::new(),
+        }
+    }
+
+    /// Takes a free slot, waiting while every slot is busy.
+    fn checkout(&self) -> B::Slot {
+        let mut free = self.free.lock().expect(UNPOISONED);
+        loop {
+            if let Some(slot) = free.pop() {
+                return slot;
+            }
+            free = self.returned.wait(free).expect(UNPOISONED);
+        }
+    }
+
+    fn checkin(&self, slot: B::Slot) {
+        self.free.lock().expect(UNPOISONED).push(slot);
+        self.returned.notify_one();
+    }
+}
+
 /// A query server running on background threads.
 ///
 /// The handle is deliberately non-generic: the store type is captured by
-/// the worker closures, so callers can hold `QueryServer` values of
+/// the connection threads, so callers can hold `QueryServer` values of
 /// different store types uniformly.
 pub struct QueryServer {
     state: Arc<State>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl QueryServer {
@@ -318,19 +386,7 @@ impl QueryServer {
         M: TilingMap + 'static,
         S: BlockStore + Send + Sync + 'static,
     {
-        let (listener, state) = make_state(addr, levels, &config, None)?;
-        let store = Arc::new(store);
-        let mut workers = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let state = Arc::clone(&state);
-            let store = Arc::clone(&store);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("ss-serve-exec-{w}"))
-                    .spawn(move || executor_loop(&state, &store))?,
-            );
-        }
-        QueryServer::finish(listener, state, workers)
+        QueryServer::start(addr, Arc::new(store), levels, &config, None)
     }
 
     /// Binds `addr` and serves standard-form queries **and mutations**
@@ -350,23 +406,12 @@ impl QueryServer {
         M: TilingMap + 'static,
         S: BlockStore + Send + Sync + 'static,
     {
-        let backend = Arc::new(WritableBackend {
+        let mutator = Arc::new(WritableBackend {
             buffer: Mutex::new(DeltaBuffer::for_map(store.map(), flush_mode)),
             levels: levels.clone(),
             store: Arc::clone(&store),
         });
-        let (listener, state) = make_state(addr, levels, &config, Some(backend))?;
-        let mut workers = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let state = Arc::clone(&state);
-            let store = Arc::clone(&store);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("ss-serve-exec-{w}"))
-                    .spawn(move || snapshot_executor_loop(&state, &store))?,
-            );
-        }
-        QueryServer::finish(listener, state, workers)
+        QueryServer::start(addr, store, levels, &config, Some(mutator))
     }
 
     /// Binds `addr` and serves the same protocol as a **scatter-gather
@@ -406,42 +451,48 @@ impl QueryServer {
                 ),
             ));
         }
-        let tiling = Arc::new(tiling);
-        let core = Arc::new(RouterCore::new(topology));
-        let backend = Arc::new(RouterBackend::new(
-            Arc::clone(&core),
-            Arc::clone(&tiling),
+        let router = Arc::new(RouterBackend::new(
+            topology,
+            tiling,
             levels.clone(),
             flush_mode,
         ));
-        let (listener, state) = make_state(addr, levels, &config, Some(backend))?;
-        let mut workers = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let state = Arc::clone(&state);
-            let core = Arc::clone(&core);
-            let tiling = Arc::clone(&tiling);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("ss-serve-route-{w}"))
-                    .spawn(move || router_executor_loop(&state, &core, &tiling))?,
-            );
-        }
-        QueryServer::finish(listener, state, workers)
+        let mutator: Arc<dyn Mutator> = router.clone();
+        QueryServer::start(addr, router, levels, &config, Some(mutator))
     }
 
-    fn finish(
-        listener: TcpListener,
-        state: Arc<State>,
-        workers: Vec<JoinHandle<()>>,
+    fn start<B: Backend>(
+        addr: &str,
+        backend: Arc<B>,
+        levels: Vec<u32>,
+        config: &ServeConfig,
+        mutator: Option<Arc<dyn Mutator>>,
     ) -> std::io::Result<QueryServer> {
+        assert!(config.workers >= 1, "server needs at least one worker");
+        assert!(config.batch_max >= 1, "batch_max must be at least one");
+        let listener = TcpListener::bind(addr)?;
+        let dims = levels.iter().map(|&n| 1usize << n).collect();
+        let state = Arc::new(State {
+            stop: AtomicBool::new(false),
+            answered: AtomicU64::new(0),
+            max_requests: config.max_requests,
+            addr: listener.local_addr()?,
+            levels,
+            dims,
+            batch_max: config.batch_max,
+            metrics: Metrics::resolve(),
+            slow_ns: config.slow_ns,
+            mutator,
+            conns: Mutex::new(Vec::new()),
+        });
+        let exec = Arc::new(Exec::new(backend, config.workers));
         let acceptor_state = Arc::clone(&state);
         let acceptor = std::thread::Builder::new()
             .name("ss-serve-accept".into())
-            .spawn(move || acceptor_loop(&listener, &acceptor_state))?;
+            .spawn(move || acceptor_loop(&listener, &acceptor_state, &exec))?;
         Ok(QueryServer {
             state,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -463,8 +514,9 @@ impl QueryServer {
         self.state.answered.load(Ordering::Acquire)
     }
 
-    /// Stops the server and joins its threads; queued requests are still
-    /// answered first. Returns the number of responses written.
+    /// Stops the server and joins its threads, connection threads
+    /// included: when this returns, the server holds no reference to
+    /// its store. Returns the number of responses written.
     pub fn shutdown(mut self) -> u64 {
         self.state.trigger_stop();
         self.join_threads();
@@ -475,8 +527,11 @@ impl QueryServer {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // The acceptor has exited, so the list is complete.
+        let conns = std::mem::take(&mut *self.state.conns.lock().expect(UNPOISONED));
+        for (stream, thread) in conns {
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = thread.join();
         }
     }
 }
@@ -490,164 +545,304 @@ impl Drop for QueryServer {
     }
 }
 
-fn make_state(
-    addr: &str,
-    levels: Vec<u32>,
-    config: &ServeConfig,
-    mutator: Option<Arc<dyn Mutator>>,
-) -> std::io::Result<(TcpListener, Arc<State>)> {
-    assert!(config.workers >= 1, "server needs at least one worker");
-    assert!(config.batch_max >= 1, "batch_max must be at least one");
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let dims = levels.iter().map(|&n| 1usize << n).collect();
-    let state = Arc::new(State {
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        stop: AtomicBool::new(false),
-        answered: AtomicU64::new(0),
-        max_requests: config.max_requests,
-        addr: local,
-        levels,
-        dims,
-        batch_max: config.batch_max,
-        metrics: Metrics::resolve(),
-        slow_ns: config.slow_ns,
-        mutator,
-    });
-    Ok((listener, state))
-}
-
-fn acceptor_loop(listener: &TcpListener, state: &Arc<State>) {
+fn acceptor_loop<B: Backend>(listener: &TcpListener, state: &Arc<State>, exec: &Arc<Exec<B>>) {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.stopped() {
-                    return;
-                }
-                // Responses are single lines; waiting for an ACK to
-                // coalesce them would stall closed-loop clients ~40 ms.
-                let _ = stream.set_nodelay(true);
-                let conn_state = Arc::clone(state);
-                // Reader threads are detached: they exit when the client
-                // disconnects (EOF).
-                let _ = std::thread::Builder::new()
-                    .name("ss-serve-conn".into())
-                    .spawn(move || connection_loop(stream, &conn_state));
+        let Ok((stream, _)) = listener.accept() else {
+            return;
+        };
+        if state.stopped() {
+            return;
+        }
+        // Responses are short lines; waiting for an ACK to coalesce them
+        // would stall closed-loop clients ~40 ms.
+        let _ = stream.set_nodelay(true);
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        let (conn_state, conn_exec) = (Arc::clone(state), Arc::clone(exec));
+        let spawned = std::thread::Builder::new()
+            .name("ss-serve-conn".into())
+            .spawn(move || connection_loop(stream, &conn_state, &conn_exec));
+        if let Ok(thread) = spawned {
+            let mut conns = state.conns.lock().expect(UNPOISONED);
+            while let Some(k) = conns.iter().position(|(_, t)| t.is_finished()) {
+                let _ = conns.swap_remove(k).1.join();
             }
-            Err(_) => return,
+            conns.push((handle, thread));
         }
     }
 }
 
-/// Per-connection reader: parse, validate, plan, enqueue. The outbound
-/// half of the socket lives in a shared [`ReplyLine`]; executors and this
-/// reader's error path write to it directly.
-fn connection_loop(stream: TcpStream, state: &Arc<State>) {
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let reply = Arc::new(ReplyLine {
-        out: Mutex::new(writer_stream),
-    });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if state.stopped() {
+/// One connection, run to completion: block for a line, take every
+/// further complete line already buffered (up to `batch_max`), execute,
+/// write all replies at once, repeat until EOF or stop.
+fn connection_loop<B: Backend>(stream: TcpStream, state: &State, exec: &Exec<B>) {
+    let mut reader = BufReader::new(&stream);
+    let mut run = Run::default();
+    let mut line = String::new();
+    let mut open = true;
+    while open {
+        line.clear();
+        if !matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
             break;
         }
-        match parse_and_validate(&line, &state.dims) {
+        let mut taken = 0;
+        loop {
+            let read_at = Instant::now();
+            let text = line.strip_suffix('\n').unwrap_or(&line);
+            let text = text.strip_suffix('\r').unwrap_or(text);
+            if !text.trim().is_empty() {
+                if state.stopped() {
+                    open = false;
+                    break;
+                }
+                taken += 1;
+                if run.take(text, read_at, state, exec) {
+                    break; // a mutation ends the run
+                }
+            }
+            if taken >= state.batch_max || !reader.buffer().contains(&b'\n') {
+                break;
+            }
+            line.clear();
+            // A complete line is buffered, so this read does not block.
+            if !matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+                open = false;
+                break;
+            }
+        }
+        run.execute(state, exec);
+        run.replies.write(&stream, state);
+    }
+    // Send FIN now: the server's handle on the socket outlives the thread.
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// A request read in the current run.
+struct Pending {
+    id: Option<i128>,
+    /// The request's root trace span (inert when untraced), closed once
+    /// the reply is written.
+    root: SpanCtx,
+    /// When its line was read; `None` for lines that never parsed,
+    /// which are neither timed nor slow-logged.
+    read_at: Option<Instant>,
+    /// Whether the reply carries the per-tile partial decomposition
+    /// (`partial` sub-plans from an upstream router).
+    wants_tiles: bool,
+}
+
+/// One connection's run state. Every buffer is reused across runs.
+#[derive(Default)]
+struct Run {
+    /// Queries read but not yet executed, in arrival order.
+    queries: Vec<Pending>,
+    plans: Vec<Plan>,
+    traces: Vec<Option<u64>>,
+    outcomes: Vec<Outcome>,
+    replies: Replies,
+}
+
+/// Encoded replies waiting for the run's single write.
+#[derive(Default)]
+struct Replies {
+    /// The reply lines, in arrival order.
+    buf: Vec<u8>,
+    /// The requests they answer and whether each succeeded.
+    answered: Vec<(Pending, bool)>,
+}
+
+impl Run {
+    /// Takes one request line; returns whether it ends the run (a
+    /// mutation).
+    fn take<B: Backend>(
+        &mut self,
+        line: &str,
+        read_at: Instant,
+        state: &State,
+        exec: &Exec<B>,
+    ) -> bool {
+        let req = match parse_and_validate(line, &state.dims) {
+            Ok(req) => req,
             Err(e) => {
-                state.metrics.requests_err.inc();
-                reply.send(&proto::err_response(e.id, e.kind, &e.message));
-                state.count_reply();
-            }
-            Ok(Request {
-                id,
-                op: Op::Query(query),
-                trace: trace_id,
-            }) => {
-                let root = trace::begin_span(request_trace_id(trace_id), 0, "serve.request");
-                let plan = {
-                    let plan_span = trace::begin_span(root.trace, root.span, "serve.plan");
-                    let plan = query.plan(&state.levels);
-                    trace::end_span(plan_span);
-                    plan
+                // Replies keep arrival order: answer the queries before it.
+                self.execute(state, exec);
+                let pending = Pending {
+                    id: e.id,
+                    root: SpanCtx::none(),
+                    read_at: None,
+                    wants_tiles: false,
                 };
-                let job = Job {
-                    id,
-                    plan,
-                    reply: Arc::clone(&reply),
-                    enqueued: Instant::now(),
-                    root,
-                    wants_tiles: query.wants_tiles(),
-                };
-                let mut queue = state.queue.lock().unwrap();
-                queue.push_back(job);
-                drop(queue);
-                state.available.notify_one();
+                let error = Err((e.kind.to_string(), e.message));
+                self.replies.push(state, pending, error);
+                return false;
             }
-            // Mutations are answered synchronously on the reader: the
-            // response must be on the wire before the next line on this
-            // connection is read, so a client that pipelines
-            // `update, commit, query` gets read-your-writes.
-            Ok(Request {
-                id,
-                op: Op::Mutation(m),
-                trace: trace_id,
-            }) => {
-                let root = trace::begin_span(request_trace_id(trace_id), 0, "serve.request");
-                let started = Instant::now();
+        };
+        let root = trace::begin_span(request_trace_id(req.trace), 0, "serve.request");
+        let pending = |wants_tiles| Pending {
+            id: req.id,
+            root,
+            read_at: Some(read_at),
+            wants_tiles,
+        };
+        match req.op {
+            Op::Query(query) => {
+                let plan_span = trace::begin_span(root.trace, root.span, "serve.plan");
+                self.plans.push(query.plan(&state.levels));
+                trace::end_span(plan_span);
+                self.traces.push(root.active().then_some(root.trace));
+                self.queries.push(pending(query.wants_tiles()));
+                false
+            }
+            Op::Mutation(m) => {
+                self.execute(state, exec);
                 let outcome = {
                     // The thread-local context makes the WAL / commit /
                     // tile-fetch events of this mutation attach to it.
                     let _in_span = trace::enter(root);
-                    match state.mutator.as_deref() {
-                        None => Err((
-                            "read_only",
-                            "this server is read-only (start it writable to accept mutations)"
-                                .to_string(),
-                        )),
-                        Some(mutator) => match m {
-                            Mutation::Update { at, dims, data } => {
-                                let _s = trace::scoped("serve.update");
-                                mutator.update(&at, &dims, data)
-                            }
-                            Mutation::Apply { ops } => {
-                                let _s = trace::scoped("serve.apply");
-                                mutator.apply(&ops)
-                            }
-                            Mutation::Commit => {
-                                let _s = trace::scoped("serve.commit");
-                                mutator.commit()
-                            }
-                        },
-                    }
+                    mutate(state.mutator.as_deref(), m)
                 };
-                let dur_ns = started.elapsed().as_nanos() as u64;
-                match outcome {
-                    Ok(value) => {
-                        state.metrics.requests_ok.inc();
-                        state.metrics.request_ns.record(dur_ns);
-                        let echo = root.active().then_some(root.trace);
-                        reply.send(&proto::ok_response_traced(id, echo, value));
-                    }
-                    Err((kind, message)) => {
-                        state.metrics.requests_err.inc();
-                        reply.send(&proto::err_response(id, kind, &message));
-                    }
-                }
-                state.observe_slow(id, &root, dur_ns);
-                trace::end_span(root);
-                state.count_reply();
+                let outcome = outcome
+                    .map(|value| PlanTiles {
+                        value,
+                        tiles: Vec::new(),
+                    })
+                    .map_err(|(kind, message)| (kind.to_string(), message));
+                self.replies.push(state, pending(false), outcome);
+                true
             }
+        }
+    }
+
+    /// Executes the pending queries as one batch on a checked-out slot
+    /// and encodes their replies.
+    fn execute<B: Backend>(&mut self, state: &State, exec: &Exec<B>) {
+        if self.queries.is_empty() {
+            return;
+        }
+        // Tile fetches are shared across the batch, so its span is
+        // parented under the batch's first traced request (a documented
+        // approximation — see DESIGN.md §13).
+        let span = self
+            .queries
+            .iter()
+            .map(|q| q.root)
+            .find(SpanCtx::active)
+            .map_or_else(SpanCtx::none, |p| {
+                trace::begin_span(p.trace, p.span, B::SPAN)
+            });
+        let mut slot = exec.checkout();
+        let ran = {
+            let _in_span = trace::enter(span);
+            catch_unwind(AssertUnwindSafe(|| {
+                exec.backend
+                    .execute(&mut slot, &self.plans, &self.traces, &mut self.outcomes)
+            }))
+        };
+        trace::end_span(span);
+        match ran {
+            Ok(()) => exec.checkin(slot),
+            Err(payload) => {
+                // A slot may hold half-finished exchanges; start afresh.
+                drop(slot);
+                exec.checkin(exec.backend.slot());
+                let error = panic_error(payload);
+                self.outcomes.clear();
+                self.outcomes
+                    .extend(self.queries.iter().map(|_| Err(error.clone())));
+            }
+        }
+        state.metrics.batches.inc();
+        state.metrics.batch_size.record(self.queries.len() as u64);
+        for (query, outcome) in self.queries.drain(..).zip(self.outcomes.drain(..)) {
+            self.replies.push(state, query, outcome);
+        }
+        self.plans.clear();
+        self.traces.clear();
+    }
+}
+
+impl Replies {
+    /// Encodes one reply after those already in the buffer.
+    fn push(&mut self, state: &State, req: Pending, outcome: Outcome) {
+        let line = match &outcome {
+            Ok(result) => {
+                state.metrics.requests_ok.inc();
+                let echo = req.root.active().then_some(req.root.trace);
+                let tiles = req.wants_tiles.then_some(result.tiles.as_slice());
+                proto::ok_response_tiled(req.id, echo, result.value, tiles)
+            }
+            Err((kind, message)) => {
+                state.metrics.requests_err.inc();
+                proto::err_response(req.id, kind, message)
+            }
+        };
+        self.buf.extend_from_slice(line.as_bytes());
+        self.buf.push(b'\n');
+        self.answered.push((req, outcome.is_ok()));
+    }
+
+    /// Writes every encoded reply in one call, then closes the requests'
+    /// spans and counts them. Write errors are ignored: the client hung
+    /// up, and the next read ends the connection.
+    fn write(&mut self, mut out: &TcpStream, state: &State) {
+        if self.answered.is_empty() {
+            return;
+        }
+        let _ = out.write_all(&self.buf);
+        self.buf.clear();
+        let n = self.answered.len() as u64;
+        for (req, ok) in self.answered.drain(..) {
+            if let Some(read_at) = req.read_at {
+                let dur_ns = read_at.elapsed().as_nanos() as u64;
+                if ok {
+                    state.metrics.request_ns.record(dur_ns);
+                }
+                state.observe_slow(req.id, &req.root, dur_ns);
+            }
+            trace::end_span(req.root);
+        }
+        state.count_replies(n);
+    }
+}
+
+/// Runs one mutation against the server's mutator, if it has one.
+fn mutate(mutator: Option<&dyn Mutator>, m: Mutation) -> Result<f64, MutErr> {
+    let Some(mutator) = mutator else {
+        return Err((
+            "read_only",
+            "this server is read-only (start it writable to accept mutations)".to_string(),
+        ));
+    };
+    match m {
+        Mutation::Update { at, dims, data } => {
+            let _s = trace::scoped("serve.update");
+            mutator.update(&at, &dims, data)
+        }
+        Mutation::Apply { ops } => {
+            let _s = trace::scoped("serve.apply");
+            mutator.apply(&ops)
+        }
+        Mutation::Commit => {
+            let _s = trace::scoped("serve.commit");
+            mutator.commit()
+        }
+    }
+}
+
+/// The typed error a panicked batch answers with: `io` for the
+/// [`StorageError`] payload of a failed block transfer, `internal` for
+/// anything else.
+fn panic_error(payload: Box<dyn std::any::Any + Send>) -> (String, String) {
+    match payload.downcast::<StorageError>() {
+        Ok(e) => ("io".to_string(), format!("storage error: {e}")),
+        Err(other) => {
+            let message = other
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| other.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "query execution panicked".to_string());
+            ("internal".to_string(), message)
         }
     }
 }
@@ -676,206 +871,55 @@ fn parse_and_validate(line: &str, dims: &[usize]) -> Result<Request, RequestErro
     Ok(req)
 }
 
-/// Executor: drain up to `batch_max` planned requests and answer them in
-/// one tile-major sweep. Answers are bit-identical to serial execution
-/// because [`ss_query::execute_plans`] fixes the evaluation order from the
-/// plans alone.
-fn executor_loop<M, S>(state: &Arc<State>, store: &Arc<SharedCoeffStore<M, S>>)
-where
-    M: TilingMap,
-    S: BlockStore,
-{
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = state.queue.lock().unwrap();
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if state.stopped() {
-                    return;
-                }
-                queue = state.available.wait(queue).unwrap();
-            }
-            let n = state.batch_max.min(queue.len());
-            queue.drain(..n).collect()
-        };
-        let (plans, routes) = split_batch(batch);
-        let exec = batch_exec_span(&routes);
-        let values = {
-            let _in_span = trace::enter(exec);
-            let mut handle: &SharedCoeffStore<M, S> = store;
-            ss_query::execute_plans_tiled(&mut handle, &plans)
-        };
-        trace::end_span(exec);
-        answer_batch(state, routes, values);
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Executor over a snapshot store: each batch pins one epoch for all of
-/// its queries, so no request can observe a half-published commit, and a
-/// request parsed after a commit's response pins an epoch at least as new.
-fn snapshot_executor_loop<M, S>(state: &Arc<State>, store: &Arc<SnapshotCoeffStore<M, S>>)
-where
-    M: TilingMap,
-    S: BlockStore,
-{
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = state.queue.lock().unwrap();
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if state.stopped() {
-                    return;
-                }
-                queue = state.available.wait(queue).unwrap();
-            }
-            let n = state.batch_max.min(queue.len());
-            queue.drain(..n).collect()
-        };
-        let (plans, routes) = split_batch(batch);
-        let exec = batch_exec_span(&routes);
-        let values = {
-            let _in_span = trace::enter(exec);
-            let pin = store.pin();
-            let mut handle = &pin;
-            let values = ss_query::execute_plans_tiled(&mut handle, &plans);
-            drop(pin);
-            values
-        };
-        trace::end_span(exec);
-        answer_batch(state, routes, values);
-    }
-}
+    /// A backend with a bug: every batch panics with a plain message.
+    struct Panicking;
 
-/// Router executor: drain a batch and scatter-gather it across the
-/// shard fleet. Each worker keeps its own connection cache, so
-/// concurrent workers fan out over disjoint sockets (per-replica
-/// in-flight counters in [`RouterCore`] spread them across replicas).
-fn router_executor_loop<M: TilingMap>(state: &Arc<State>, core: &Arc<RouterCore>, tiling: &Arc<M>) {
-    let mut conns = ConnCache::new();
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = state.queue.lock().unwrap();
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if state.stopped() {
-                    return;
-                }
-                queue = state.available.wait(queue).unwrap();
-            }
-            let n = state.batch_max.min(queue.len());
-            queue.drain(..n).collect()
-        };
-        let (plans, routes) = split_batch(batch);
-        // Forward each request's own trace id so shard-side spans land
-        // under the originating trace.
-        let jobs: Vec<router::RoutedJob> = plans
-            .into_iter()
-            .zip(routes.iter())
-            .map(|(plan, route)| (plan, route.root.active().then_some(route.root.trace)))
-            .collect();
-        let exec = batch_fanout_span(&routes);
-        let outcomes = {
-            let _in_span = trace::enter(exec);
-            router::execute_routed(core, tiling.as_ref(), &mut conns, &jobs)
-        };
-        trace::end_span(exec);
-        answer_routed(state, routes, outcomes);
-    }
-}
+    impl Backend for Panicking {
+        type Slot = ();
 
-/// The `router.fanout` span covering one scatter-gather sweep, parented
-/// under the batch's first traced request (the same batching
-/// approximation as [`batch_exec_span`]).
-fn batch_fanout_span(routes: &[Route]) -> SpanCtx {
-    routes
-        .iter()
-        .map(|r| r.root)
-        .find(SpanCtx::active)
-        .map(|p| trace::begin_span(p.trace, p.span, "router.fanout"))
-        .unwrap_or_else(SpanCtx::none)
-}
+        fn slot(&self) {}
 
-fn answer_routed(state: &State, routes: Vec<Route>, outcomes: Vec<RoutedOutcome>) {
-    state.metrics.batches.inc();
-    state.metrics.batch_size.record(routes.len() as u64);
-    for (route, outcome) in routes.into_iter().zip(outcomes) {
-        let dur_ns = route.enqueued.elapsed().as_nanos() as u64;
-        match outcome {
-            Ok((value, tiles)) => {
-                state.metrics.request_ns.record(dur_ns);
-                state.metrics.requests_ok.inc();
-                let echo = route.root.active().then_some(route.root.trace);
-                let tiles = route.wants_tiles.then_some(tiles.as_slice());
-                route
-                    .reply
-                    .send(&proto::ok_response_tiled(route.id, echo, value, tiles));
-            }
-            Err((kind, message)) => {
-                state.metrics.requests_err.inc();
-                route
-                    .reply
-                    .send(&proto::err_response(route.id, &kind, &message));
-            }
+        fn execute(&self, _: &mut (), _: &[Plan], _: &[Option<u64>], _: &mut Vec<Outcome>) {
+            panic!("backend bug");
         }
-        state.observe_slow(route.id, &route.root, dur_ns);
-        trace::end_span(route.root);
-        state.count_reply();
     }
-}
 
-#[allow(clippy::type_complexity)]
-fn split_batch(batch: Vec<Job>) -> (Vec<Vec<(Vec<usize>, f64)>>, Vec<Route>) {
-    let mut plans = Vec::with_capacity(batch.len());
-    let mut routes = Vec::with_capacity(batch.len());
-    for job in batch {
-        plans.push(job.plan);
-        routes.push(Route {
-            id: job.id,
-            reply: job.reply,
-            enqueued: job.enqueued,
-            root: job.root,
-            wants_tiles: job.wants_tiles,
-        });
+    #[test]
+    fn panics_map_to_typed_error_kinds() {
+        let (kind, _) = panic_error(Box::new(StorageError::Meta("bad header".into())));
+        assert_eq!(kind, "io");
+        let internal = panic_error(Box::new("boom"));
+        assert_eq!(internal, ("internal".to_string(), "boom".to_string()));
+        assert_eq!(panic_error(Box::new(format!("at {}", 3))).1, "at 3");
     }
-    (plans, routes)
-}
 
-/// The `serve.exec` span covering one tile-major sweep, parented under
-/// the batch's **first traced** request: tile fetches are shared across
-/// the batch, so they are attributed to that request's tree (a
-/// documented approximation — see DESIGN.md §13).
-fn batch_exec_span(routes: &[Route]) -> SpanCtx {
-    routes
-        .iter()
-        .map(|r| r.root)
-        .find(SpanCtx::active)
-        .map(|p| trace::begin_span(p.trace, p.span, "serve.exec"))
-        .unwrap_or_else(SpanCtx::none)
-}
-
-fn answer_batch(state: &State, routes: Vec<Route>, values: Vec<ss_query::PlanTiles>) {
-    state.metrics.batches.inc();
-    state.metrics.batch_size.record(routes.len() as u64);
-    for (route, result) in routes.into_iter().zip(values) {
-        let dur_ns = route.enqueued.elapsed().as_nanos() as u64;
-        state.metrics.request_ns.record(dur_ns);
-        state.metrics.requests_ok.inc();
-        let echo = route.root.active().then_some(route.root.trace);
-        let tiles = route.wants_tiles.then_some(result.tiles.as_slice());
-        route.reply.send(&proto::ok_response_tiled(
-            route.id,
-            echo,
-            result.value,
-            tiles,
-        ));
-        state.observe_slow(route.id, &route.root, dur_ns);
-        trace::end_span(route.root);
-        state.count_reply();
+    #[test]
+    fn a_panicking_batch_answers_internal_and_frees_its_slot() {
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = QueryServer::start(
+            "127.0.0.1:0",
+            Arc::new(Panicking),
+            vec![3, 3],
+            &config,
+            None,
+        )
+        .unwrap();
+        let mut client = crate::Client::connect(server.local_addr()).unwrap();
+        // Twice on one slot: the first panic must not leave it checked out.
+        for _ in 0..2 {
+            let err = client.point(&[1, 2]).unwrap_err().to_string();
+            assert!(
+                err.contains("internal") && err.contains("backend bug"),
+                "{err}"
+            );
+        }
+        server.shutdown();
     }
 }
